@@ -16,6 +16,7 @@ from .analytic_core import (
     default_grid,
     derivative_check,
     eval_jet,
+    functionals,
     mobius_invert_t1,
     mobius_invert_t2,
     mobius_target,

@@ -213,6 +213,30 @@ def _first_witness(arr, mask) -> complex:
     return complex(np.atleast_1d(arr)[np.atleast_1d(mask)][0])
 
 
+def _p_from_jet(arr, df, d2f):
+    crit = np.abs(df) < ZERO_TOL
+    if np.any(crit):
+        raise CriticalPointError(
+            f"f has a critical point at z = {_first_witness(arr, crit)}; "
+            "1 + z f''/f' is singular there"
+        )
+    return 1.0 + arr * d2f / df
+
+
+def _q_from_jet(fh, arr, f, df):
+    small = np.abs(arr) <= SMALL_Z
+    vanish = (np.abs(f) < ZERO_TOL) & ~small
+    if np.any(vanish):
+        raise FunctionZeroError(
+            f"f has a zero inside the disk at z = {_first_witness(arr, vanish)}; "
+            "z f'/f is singular there and f cannot be starlike"
+        )
+    q = arr * df / np.where(small, 1.0, f)
+    if np.any(small):
+        q = np.where(small, 1.0 + _a2(fh) * arr, q)
+    return q
+
+
 def starlike_q(fh: FunctionHandle, z):
     """The starlikeness functional z f'(z)/f(z).
 
@@ -220,34 +244,35 @@ def starlike_q(fh: FunctionHandle, z):
     value 1 + (f''(0)/2) z for |z| <= SMALL_Z.
     """
     arr = np.asarray(z, dtype=complex)
-    _require_in_disk(arr)
     jet = eval_jet(fh, arr)
-    small = np.abs(arr) <= SMALL_Z
-    vanish = (np.abs(jet.f) < ZERO_TOL) & ~small
-    if np.any(vanish):
-        raise FunctionZeroError(
-            f"f has a zero inside the disk at z = {_first_witness(arr, vanish)}; "
-            "z f'/f is singular there and f cannot be starlike"
-        )
-    q = arr * jet.df / np.where(small, 1.0, jet.f)
-    if np.any(small):
-        q = np.where(small, 1.0 + _a2(fh) * arr, q)
+    q = _q_from_jet(fh, arr, jet.f, jet.df)
     return complex(q) if np.ndim(z) == 0 else q
 
 
 def convexity_p(fh: FunctionHandle, z):
     """The convexity functional 1 + z f''(z)/f'(z); equals 1 at z = 0."""
     arr = np.asarray(z, dtype=complex)
-    _require_in_disk(arr)
     jet = eval_jet(fh, arr)
-    crit = np.abs(jet.df) < ZERO_TOL
-    if np.any(crit):
-        raise CriticalPointError(
-            f"f has a critical point at z = {_first_witness(arr, crit)}; "
-            "1 + z f''/f' is singular there"
-        )
-    p = 1.0 + arr * jet.d2f / jet.df
+    p = _p_from_jet(arr, jet.df, jet.d2f)
     return complex(p) if np.ndim(z) == 0 else p
+
+
+def functionals(fh: FunctionHandle, z):
+    """(starlike_q(fh, z), convexity_p(fh, z)) from a single jet pass.
+
+    The values are bit-for-bit those of the two functions.  The guard of p
+    runs first, so a grid holding both a zero of f' and a zero of f raises
+    CriticalPointError.  Each jet array is dropped once used, which keeps
+    the peak memory of a grid scan at that of the separate calls.
+    """
+    arr = np.asarray(z, dtype=complex)
+    f, df, d2f = eval_jet(fh, arr)
+    p = _p_from_jet(arr, df, d2f)
+    del d2f
+    q = _q_from_jet(fh, arr, f, df)
+    if np.ndim(z) == 0:
+        return complex(q), complex(p)
+    return q, p
 
 
 def mobius_target(beta: float, z):
@@ -291,8 +316,8 @@ def target_disk(beta: float) -> DiskSpec:
     Only meaningful for beta > 1; at lower beta the conclusion region is a
     half plane, not this disk.
     """
-    if not beta > 1.0:
-        raise ParameterDomainError(f"the target disk needs beta > 1 (got {beta:g})")
+    if not 1.0 < beta < np.inf:
+        raise ParameterDomainError(f"the target disk needs 1 < beta < inf (got {beta:g})")
     c = beta / (beta + 1.0)
     return DiskSpec(complex(c), c)
 

@@ -71,6 +71,16 @@ def _radii_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad radii list '{text}'") from None
 
 
+def _threads_arg(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1 (got '{text}')")
+    return threads
+
+
 def _window_arg(text: str):
     parts = text.split(":")
     if len(parts) != 4:
@@ -202,7 +212,8 @@ def cmd_verify(args) -> int:
         "pass": passed,
         "duration_ms": elapsed_ms if args.timing else 0.0,
     }
-    _emit(json.dumps(envelope, indent=2) + "\n", args.out)
+    # allow_nan=False: a NaN or inf raises here instead of writing invalid JSON
+    _emit(json.dumps(envelope, indent=2, allow_nan=False) + "\n", args.out)
     verdict = "pass" if passed else "FAIL"
     print(
         f"verify theorem {args.theorem} {handle.label}: {verdict} "
@@ -325,9 +336,9 @@ def _add_grid_args(sp) -> None:
     )
     sp.add_argument(
         "--threads",
-        type=int,
+        type=_threads_arg,
         default=1,
-        help="worker threads across radii; reports do not depend on the count",
+        help="worker threads across radii, >= 1; reports do not depend on the count",
     )
 
 
@@ -430,3 +441,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -18,12 +18,17 @@ from .analytic_core import (
     FunctionHandle,
     SamplingGrid,
     convexity_p,
+    functionals,
     mobius_invert_t1,
     mobius_invert_t2,
     starlike_q,
 )
 from .errors import ParameterDomainError
 from .search import golden_max, golden_min
+
+# Theorem 2's bound and boundary value multiply beta^2 by small constants,
+# which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
+T2_BETA_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,10 @@ def _require_t1_beta(beta: float) -> None:
 
 
 def _require_t2_beta(beta: float) -> None:
-    if not (beta <= -1.0 or beta > 1.0):
+    if not (abs(beta) <= T2_BETA_MAX and (beta <= -1.0 or beta > 1.0)):
         raise ParameterDomainError(
-            f"theorem 2 needs beta <= -1 or beta > 1 (got {beta:g})"
+            f"theorem 2 needs -{T2_BETA_MAX:g} <= beta <= -1 or "
+            f"1 < beta <= {T2_BETA_MAX:g} (got {beta:g})"
         )
 
 
@@ -110,10 +116,10 @@ def t2_bound(beta: float) -> float:
     return (3.0 * beta + 1.0) / (2.0 * beta * (beta + 1.0))
 
 
-def _scan_radius(fh, beta, theorem, r, angles):
-    z = r * np.exp(1j * angles)
-    re_p = convexity_p(fh, z).real
-    q = starlike_q(fh, z)
+def _scan_radius(fh, beta, theorem, r, unit):
+    z = r * unit
+    q, p = functionals(fh, z)
+    re_p = p.real
     if theorem == 1:
         i = int(np.argmax(re_p))
         w = mobius_invert_t1(beta, q)
@@ -135,10 +141,10 @@ def _scan_radius(fh, beta, theorem, r, angles):
 
 
 def _run(fh, beta, grid, theorem, bound, threads):
-    angles = grid.angles()
+    unit = np.exp(1j * grid.angles())
 
     def worker(r):
-        return _scan_radius(fh, beta, theorem, r, angles)
+        return _scan_radius(fh, beta, theorem, r, unit)
 
     # Rows are assembled in radii order regardless of the worker count, so
     # reports are identical across thread counts.

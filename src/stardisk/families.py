@@ -16,6 +16,7 @@ invariants assertable without any family parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,15 @@ def validate_spec(spec: FamilySpec) -> None:
         check, interval = _INTERVALS[spec.id]
         if spec.beta is None:
             raise ParameterDomainError(f"family {spec.id} needs beta in {interval}")
-        if not check(spec.beta):
+        if not (math.isfinite(spec.beta) and check(spec.beta)):
             raise ParameterDomainError(
                 f"family {spec.id} needs {interval} (got beta = {spec.beta:g})"
+            )
+        mu = power_exponent(spec.id, spec.beta)
+        if not math.isfinite(mu):
+            raise ParameterDomainError(
+                f"family {spec.id} needs {interval} with a finite exponent mu "
+                f"(got beta = {spec.beta:g}, mu = {mu:g})"
             )
         return
     base = spec.id.split(":", 1)[0]

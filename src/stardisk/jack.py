@@ -76,6 +76,8 @@ def induced(theorem: int, handle: FunctionHandle, beta: float) -> SchwarzFunctio
     """The Schwarz candidate a theorem run induces from z f'/f."""
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
+    if not -np.inf < beta < np.inf:
+        raise ParameterDomainError(f"induced w needs -inf < beta < inf (got {beta:g})")
     return SchwarzFunction(
         kind="induced",
         label=f"induced:t{theorem}:{handle.label}:{beta:g}",

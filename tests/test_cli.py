@@ -1,4 +1,12 @@
+import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from stardisk import cli
 
@@ -250,3 +258,96 @@ def test_plot_window_flag(tmp_path):
     assert run_cli(["plot", "--theorem", "1", "--family", "ex1_high", "--beta", "2",
                     "--radii", "0.5", "--angles", "256",
                     "--window", "bad", "--out", str(out)]) == 2
+
+
+# ------------------------------------------------------ out-of-domain inputs
+
+def _rejected(argv, capsys, interval):
+    assert run_cli(argv) == 2
+    assert interval in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta, interval", [
+    ("inf", "beta > 1"), ("1e300", "finite exponent mu"), ("nan", "beta > 1"),
+])
+def test_verify_non_finite_beta_exit_code(tmp_path, capsys, beta, interval):
+    out = tmp_path / "r.json"
+    _rejected(["verify", "--theorem", "2", "--family", "ex2_pos", "--beta", beta,
+               "--out", str(out)] + FAST, capsys, interval)
+    assert not out.exists()
+    _rejected(["verify", "--theorem", "2", "--family", "builtin_halfplane",
+               "--beta", beta] + FAST, capsys, "1 < beta <= 1e+150")
+
+
+def test_proof_scan_non_finite_beta_exit_code(capsys):
+    for beta in ("inf", "1e300", "--beta=-inf"):
+        argv = ["proof-scan", "--theorem", "2"]
+        argv += [beta] if beta.startswith("--") else ["--beta", beta]
+        _rejected(argv, capsys, "-1e+150 <= beta <= -1 or 1 < beta <= 1e+150")
+
+
+def test_plot_non_finite_beta_exit_code(tmp_path, capsys):
+    out = tmp_path / "p.svg"
+    base = ["--radii", "0.9", "--angles", "256", "--out", str(out)]
+    _rejected(["plot", "--theorem", "1", "--family", "builtin_koebe", "--beta", "inf"]
+              + base, capsys, "1 < beta < inf")
+    _rejected(["plot", "--theorem", "1", "--family", "ex2_pos", "--beta", "1e300"]
+              + base, capsys, "finite exponent mu")
+    _rejected(["plot", "--theorem", "2", "--family", "builtin_halfplane",
+               "--beta", "inf"] + base, capsys, "1 < beta <= 1e+150")
+    assert not out.exists()
+
+
+def test_jack_non_finite_beta_exit_code(capsys):
+    _rejected(["jack", "--w", "induced:t2:ex2_pos:inf", "--r", "0.9"], capsys,
+              "beta > 1")
+    _rejected(["jack", "--w", "induced:t2:builtin_halfplane:inf", "--r", "0.9"],
+              capsys, "-inf < beta < inf")
+
+
+def test_sweep_non_finite_beta_exit_code(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    _rejected(["sweep", "--theorem", "2", "--family", "ex2_pos", "--beta-min", "2",
+               "--beta-max", "1e300", "--steps", "3", "--out", str(out)] + FAST,
+              capsys, "finite exponent mu")
+    assert not out.exists()
+
+
+def test_verify_report_is_strict_json(tmp_path, monkeypatch):
+    # a NaN that slipped past the domain checks must not become bare NaN
+    real = cli.run_t2
+
+    def nan_run(handle, beta, grid, threads=1):
+        hyp, con = real(handle, beta, grid, threads)
+        return dataclasses.replace(hyp, bound=math.nan), con
+
+    monkeypatch.setattr(cli, "run_t2", nan_run)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli.main(["verify", "--theorem", "2", "--family", "ex2_neg", "--beta=-2",
+                  "--out", str(tmp_path / "r.json")] + FAST)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_code(capsys, threads):
+    code = run_cli(["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
+                    "--threads", threads] + FAST)
+    assert code == 2
+    assert "--threads: must be an integer >= 1" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ python -m entry points
+
+@pytest.mark.parametrize("module", ["stardisk", "stardisk.cli"])
+def test_module_entry_point_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--theorem", "1",
+         "--family", "builtin_koebe", "--beta", "2", "--angles", "256"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["pass"] is False
+    assert "FAIL" in proc.stderr

@@ -22,6 +22,19 @@ def test_t1_bound_values():
             sd.t1_bound(bad)
 
 
+def test_t2_beta_range_keeps_bound_and_boundary_finite():
+    edge = sd.criteria.T2_BETA_MAX
+    for beta in (edge, -edge):
+        assert math.isfinite(sd.t2_bound(beta))
+        scan = sd.proof_extremal_t2(beta, 256)
+        assert math.isfinite(scan.extremal_value)
+    for bad in (math.inf, -math.inf, math.nan, 10.0 * edge, -10.0 * edge):
+        with pytest.raises(ParameterDomainError, match="1e\\+150"):
+            sd.t2_bound(bad)
+        with pytest.raises(ParameterDomainError):
+            sd.proof_boundary_value_t2(bad, 0.0, 1.0)
+
+
 def test_t1_bound_branch_continuity():
     eps = 1e-8
     assert abs(sd.t1_bound(2.0 - eps) - sd.t1_bound(2.0 + eps)) <= 1e-6
@@ -83,6 +96,15 @@ def test_run_t1_threads_deterministic(grid):
     a = sd.run_t1(fh, 2.2, grid, threads=1)
     b = sd.run_t1(fh, 2.2, grid, threads=4)
     assert a == b
+
+
+@pytest.mark.parametrize("family, beta", [
+    ("ex1_high", 2.5), ("ex1_low", 1.5), ("ex2_pos", 3.0), ("ex2_neg", -2.0),
+])
+def test_runs_equal_for_one_and_two_threads(small_grid, family, beta):
+    fh = sd.make_family(sd.FamilySpec(family, beta))
+    run = sd.run_t1 if family.startswith("ex1") else sd.run_t2
+    assert run(fh, beta, small_grid, threads=1) == run(fh, beta, small_grid, threads=2)
 
 
 # ------------------------------------------------------------------ theorem 2

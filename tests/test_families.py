@@ -60,6 +60,22 @@ def test_interval_validation_messages():
         assert interval in str(err.value)
 
 
+def test_non_finite_beta_and_exponent_rejected():
+    cases = [
+        ("ex2_pos", math.inf, "beta > 1"),
+        ("ex2_pos", math.nan, "beta > 1"),
+        ("ex2_neg", -math.inf, "beta <= -1"),
+        ("ex2_pos", 1e300, "finite exponent mu"),  # beta^2 overflows mu
+        ("ex2_neg", -1e300, "finite exponent mu"),
+    ]
+    for fam, beta, text in cases:
+        with pytest.raises(ParameterDomainError) as err:
+            sd.make_family(sd.FamilySpec(fam, beta))
+        assert text in str(err.value)
+        with pytest.raises(ParameterDomainError):
+            sd.closed_form_q(sd.FamilySpec(fam, beta), 0.5)
+
+
 def test_interval_endpoints_included():
     # both ex1 ids are valid at beta = 2 and must give the same function
     a = sd.make_family(sd.FamilySpec("ex1_high", 2.0))
