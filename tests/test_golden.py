@@ -58,6 +58,24 @@ CASES = {
     "sweep_t1_ex1_high": [
         "sweep", "--theorem", "1", "--family", "ex1_high", "--beta-min", "2.0",
         "--beta-max", "2.9", "--steps", "4", "--angles", "256"],
+    # 3 x 1024 points a beta: the batched sweep splits these 40 into many blocks
+    "sweep_t1_ex1_low_multiblock": [
+        "sweep", "--theorem", "1", "--family", "ex1_low", "--beta-min", "1.05",
+        "--beta-max", "2.0", "--steps", "40", "--angles", "1024"],
+    "sweep_t2_ex2_neg_threads2": [
+        "sweep", "--theorem", "2", "--family", "ex2_neg", "--beta-min=-6",
+        "--beta-max=-1", "--steps", "33", "--angles", "256", "--threads", "2"],
+    # the first beta is the log-limit point (kind log), the others are powers
+    "sweep_t2_ex2_pos_mixed_kind": [
+        "sweep", "--theorem", "2", "--family", "ex2_pos",
+        "--beta-min", "2.414213562373095", "--beta-max", "2.6", "--steps", "3",
+        "--angles", "512"],
+    "sweep_t1_builtin_quadratic": [
+        "sweep", "--theorem", "1", "--family", "builtin_quadratic", "--beta-min", "1.5",
+        "--beta-max", "2.5", "--steps", "5", "--angles", "256"],
+    "sweep_t1_halfplane_pole": [
+        "sweep", "--theorem", "1", "--family", "builtin_halfplane", "--beta-min", "2",
+        "--beta-max", "2.5", "--steps", "2", "--radii", "0.5,0.9", "--angles", "64"],
     "proof_scan_t1": [
         "proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "1024"],
     "proof_scan_t2": [
