@@ -37,6 +37,7 @@ from .criteria import (
     proof_extremal_t2,
     run_t1,
     run_t2,
+    sweep,
     t1_bound,
     t2_bound,
 )

@@ -161,14 +161,18 @@ def _jet_series(fh, z):
     return f, df, d2f
 
 
-def _jet_power(fh, z):
+def _power_jet(mu, lg):
+    """Jet of (1/mu)(1 - (1-z)^mu) from lg = Log(1-z); mu may be an array
+    that broadcasts against lg, which evaluates many exponents at once."""
     # f = -expm1(mu L)/mu is the stable form of (1 - (1-z)^mu)/mu for all mu.
-    mu = fh.mu
-    lg = log_one_minus(z)
     f = -np.expm1(mu * lg) / mu
     df = np.exp((mu - 1.0) * lg)
     d2f = -(mu - 1.0) * np.exp((mu - 2.0) * lg)
     return f, df, d2f
+
+
+def _jet_power(fh, z):
+    return _power_jet(fh.mu, log_one_minus(z))
 
 
 def _jet_log(fh, z):
@@ -209,15 +213,16 @@ def _a2(fh) -> complex:
     return eval_jet(fh, 0j).d2f / 2.0
 
 
-def _first_witness(arr, mask) -> complex:
-    return complex(np.atleast_1d(arr)[np.atleast_1d(mask)][0])
+def _first_hit(values, mask):
+    """The first entry of values, broadcast to the shape of mask, where mask holds."""
+    return np.broadcast_to(values, np.shape(mask))[mask][0]
 
 
 def _p_from_jet(arr, df, d2f):
     crit = np.abs(df) < ZERO_TOL
     if np.any(crit):
         raise CriticalPointError(
-            f"f has a critical point at z = {_first_witness(arr, crit)}; "
+            f"f has a critical point at z = {complex(_first_hit(arr, crit))}; "
             "1 + z f''/f' is singular there"
         )
     return 1.0 + arr * d2f / df
@@ -228,7 +233,7 @@ def _q_from_jet(fh, arr, f, df):
     vanish = (np.abs(f) < ZERO_TOL) & ~small
     if np.any(vanish):
         raise FunctionZeroError(
-            f"f has a zero inside the disk at z = {_first_witness(arr, vanish)}; "
+            f"f has a zero inside the disk at z = {complex(_first_hit(arr, vanish))}; "
             "z f'/f is singular there and f cannot be starlike"
         )
     q = arr * df / np.where(small, 1.0, f)
@@ -287,25 +292,34 @@ def mobius_target(beta: float, z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def mobius_invert_t1(beta: float, q):
-    """w = beta (q - 1) / (q - beta), the inverse of q = beta(1-w)/(beta-w)."""
+def mobius_invert_t1(beta, q):
+    """w = beta (q - 1) / (q - beta), the inverse of q = beta(1-w)/(beta-w).
+
+    beta may be an array that broadcasts against q; a pole names the beta
+    of its first point.
+    """
     arr = np.asarray(q, dtype=complex)
     den = arr - beta
-    if np.any(np.abs(den) < POLE_TOL):
-        raise PoleError(f"q = beta = {beta:g} is the pole of the inverse map")
+    pole = np.abs(den) < POLE_TOL
+    if np.any(pole):
+        b = float(_first_hit(beta, pole))
+        raise PoleError(f"q = beta = {b:g} is the pole of the inverse map")
     out = beta * (arr - 1.0) / den
     return complex(out) if np.ndim(q) == 0 else out
 
 
-def mobius_invert_t2(beta: float, q):
+def mobius_invert_t2(beta, q):
     """w = beta (1 - q) / (1 - beta q), where q = z f'/f.
 
     This is the Schwarz candidate induced by subordinating f/(z f') = 1/q.
+    beta may be an array that broadcasts against q, as in mobius_invert_t1.
     """
     arr = np.asarray(q, dtype=complex)
     den = 1.0 - beta * arr
-    if np.any(np.abs(den) < POLE_TOL):
-        raise PoleError(f"beta * q = 1 (beta = {beta:g}) is the pole of the inverse map")
+    pole = np.abs(den) < POLE_TOL
+    if np.any(pole):
+        b = float(_first_hit(beta, pole))
+        raise PoleError(f"beta * q = 1 (beta = {b:g}) is the pole of the inverse map")
     out = beta * (1.0 - arr) / den
     return complex(out) if np.ndim(q) == 0 else out
 

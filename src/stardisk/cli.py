@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from .criteria import (
     proof_extremal_t2,
     run_t1,
     run_t2,
+    sweep as run_sweep,
     t1_bound,
     t2_bound,
 )
@@ -57,6 +59,9 @@ FAMILY_HELP = (
     "ex2_neg (beta<=-1), builtin_koebe, builtin_halfplane, "
     "builtin_quadratic, builtin_monomial:N"
 )
+
+# argparse reads "-1e6" after a space as an option, not as a number
+NEGATIVE_HELP = "write a negative value in exponent notation with '=', e.g. {}=-1e6"
 
 
 def _f(x) -> str:
@@ -227,25 +232,21 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise ParameterDomainError(f"--steps must be >= 1 (got {args.steps})")
+    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"{flag} must be finite (got {value:g})")
     if args.steps == 1:
         betas = [args.beta_min]
     else:
         step = (args.beta_max - args.beta_min) / (args.steps - 1)
         betas = [args.beta_min + i * step for i in range(args.steps)]
     grid = SamplingGrid(args.radii, args.angles)
-    runner = run_t1 if args.theorem == 1 else run_t2
-    # Validate the whole range first so a straddling range fails before
-    # any output is produced.
+    # Validate the whole range first (the families here, the bounds in
+    # run_sweep) so a straddling range fails before any output is produced.
     handles = [handle_from_name(args.family, b) for b in betas]
-    if args.theorem == 1:
-        for b in betas:
-            t1_bound(b)
-    else:
-        for b in betas:
-            t2_bound(b)
     lines = [CSV_HEADER]
-    for b, handle in zip(betas, handles):
-        hyp, con = runner(handle, b, grid, threads=args.threads)
+    for b, (hyp, con) in zip(betas, run_sweep(handles, betas, grid, args.theorem,
+                                              threads=args.threads)):
         last = con.per_radius[-1]
         lines.append(
             ",".join(
@@ -338,7 +339,8 @@ def _add_grid_args(sp) -> None:
         "--threads",
         type=_threads_arg,
         default=1,
-        help="worker threads across radii, >= 1; reports do not depend on the count",
+        help="worker threads, >= 1: across radii for verify, across blocks of beta "
+        "for sweep; reports do not depend on the count",
     )
 
 
@@ -359,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     verify.add_argument("--family", required=True, help=FAMILY_HELP)
-    verify.add_argument("--beta", type=float, required=True)
+    verify.add_argument("--beta", type=float, required=True,
+                        help=NEGATIVE_HELP.format("--beta"))
     _add_grid_args(verify)
     verify.add_argument(
         "--schwarz-tol",
@@ -378,8 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="tabulate bounds and margins over a beta range")
     sweep.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     sweep.add_argument("--family", required=True, help=FAMILY_HELP)
-    sweep.add_argument("--beta-min", type=float, required=True)
-    sweep.add_argument("--beta-max", type=float, required=True)
+    sweep.add_argument("--beta-min", type=float, required=True,
+                       help=NEGATIVE_HELP.format("--beta-min"))
+    sweep.add_argument("--beta-max", type=float, required=True,
+                       help=NEGATIVE_HELP.format("--beta-max"))
     sweep.add_argument("--steps", type=int, required=True)
     _add_grid_args(sweep)
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -389,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "proof-scan", help="re-derive a theorem's sharp constant by boundary scan"
     )
     scan.add_argument("--theorem", type=int, choices=(1, 2), required=True)
-    scan.add_argument("--beta", type=float, required=True)
+    scan.add_argument("--beta", type=float, required=True,
+                      help=NEGATIVE_HELP.format("--beta"))
     scan.add_argument("--theta-steps", type=int, default=4096, help=">= 256")
     scan.add_argument("--tol", type=float, default=1e-9)
     scan.add_argument("--out", default=None)
@@ -411,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="SVG of the zf'/f image curves and target region")
     plot.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     plot.add_argument("--family", required=True, help=FAMILY_HELP)
-    plot.add_argument("--beta", type=float, required=True)
+    plot.add_argument("--beta", type=float, required=True,
+                      help=NEGATIVE_HELP.format("--beta"))
     _add_grid_args(plot)
     plot.add_argument(
         "--window",

@@ -15,20 +15,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_core import (
+    SMALL_Z,
     FunctionHandle,
     SamplingGrid,
+    _p_from_jet,
+    _power_jet,
+    _q_from_jet,
     convexity_p,
     functionals,
+    log_one_minus,
     mobius_invert_t1,
     mobius_invert_t2,
     starlike_q,
 )
-from .errors import ParameterDomainError
+from .errors import CriticalPointError, FunctionZeroError, ParameterDomainError, PoleError
 from .search import golden_max, golden_min
 
 # Theorem 2's bound and boundary value multiply beta^2 by small constants,
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
 T2_BETA_MAX = 1e150
+# Grid points (betas x radii x angles) of one array pass of sweep.  Blocks
+# of 2**16 points were no faster and raised the peak RSS by 11 MB.
+SWEEP_BLOCK_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -116,76 +124,146 @@ def t2_bound(beta: float) -> float:
     return (3.0 * beta + 1.0) / (2.0 * beta * (beta + 1.0))
 
 
-def _scan_radius(fh, beta, theorem, r, unit):
-    z = r * unit
-    q, p = functionals(fh, z)
-    re_p = p.real
-    if theorem == 1:
-        i = int(np.argmax(re_p))
-        w = mobius_invert_t1(beta, q)
-    else:
-        i = int(np.argmin(re_p))
-        w = mobius_invert_t2(beta, q)
-    rec = {
-        "r": float(r),
-        "extreme": float(re_p[i]),
-        "witness": complex(z[i]),
-        "max_abs_w": float(np.abs(w).max()),
-        "min_re_q": float(q.real.min()),
-        "disk_slack": None,
-    }
-    if theorem == 1:
-        c = beta / (beta + 1.0)
-        rec["disk_slack"] = float(c - np.abs(q - c).max())
-    return rec
-
-
-def _run(fh, beta, grid, theorem, bound, threads):
-    unit = np.exp(1j * grid.angles())
-
-    def worker(r):
-        return _scan_radius(fh, beta, theorem, r, unit)
-
-    # Rows are assembled in radii order regardless of the worker count, so
-    # reports are identical across thread counts.
+def _map(fn, items, threads):
+    """[fn(x) for x in items], on a thread pool when threads > 1.  The
+    results keep the order of items whatever the worker count, so reports
+    do not depend on it."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, grid.radii))
-    else:
-        rows = [worker(r) for r in grid.radii]
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
+
+def _reduce(theorem, beta, z, q, p, w):
+    """Reductions over the last (angle) axis of z, q = z f'/f, p = 1 + z f''/f'
+    and w: the extreme of Re p (max for theorem 1, min for theorem 2) and
+    its grid point, max|w|, min Re q and, for theorem 1, the slack of the
+    target disk (None for theorem 2).  beta broadcasts against q."""
+    re_p = p.real
+    i = (np.argmax if theorem == 1 else np.argmin)(re_p, axis=-1, keepdims=True)
+    extreme = np.take_along_axis(re_p, i, axis=-1)[..., 0]
+    witness = np.take_along_axis(np.broadcast_to(z, p.shape), i, axis=-1)[..., 0]
+    slack = None
     if theorem == 1:
-        satisfied = all(row["extreme"] < bound for row in rows)
-        margin = bound - rows[-1]["extreme"]
-        w0 = mobius_invert_t1(beta, starlike_q(fh, 0j))
-    else:
-        satisfied = all(row["extreme"] > bound for row in rows)
-        margin = rows[-1]["extreme"] - bound
-        w0 = mobius_invert_t2(beta, starlike_q(fh, 0j))
+        c = beta / (beta + 1.0)
+        slack = (c - np.abs(q - c).max(axis=-1, keepdims=True))[..., 0]
+    return extreme, witness, np.abs(w).max(axis=-1), q.real.min(axis=-1), slack
 
+
+def _reports(theorem, radii, bound, w0, extreme, witness, max_abs_w, min_re_q, slack):
+    """The (HypothesisReport, ConclusionReport) of one beta from the
+    per-radius reductions of _reduce."""
+    extreme = [float(e) for e in extreme]
+    if theorem == 1:
+        satisfied = all(e < bound for e in extreme)
+        margin = bound - extreme[-1]
+    else:
+        satisfied = all(e > bound for e in extreme)
+        margin = extreme[-1] - bound
     hyp = HypothesisReport(
         bound=bound,
         per_radius=tuple(
-            RadiusHypothesis(row["r"], row["extreme"], row["witness"]) for row in rows
+            RadiusHypothesis(r, e, complex(x)) for r, e, x in zip(radii, extreme, witness)
         ),
         satisfied=satisfied,
         margin_at_rmax=margin,
     )
+    rows = []
+    for k, r in enumerate(radii):
+        m = float(max_abs_w[k])
+        rows.append(RadiusConclusion(
+            r=r,
+            max_abs_w=m,
+            schwarz_ratio=m / r,
+            min_re_q=float(min_re_q[k]),
+            disk_slack=float(slack[k]) if theorem == 1 else None,
+        ))
     con = ConclusionReport(
-        per_radius=tuple(
-            RadiusConclusion(
-                r=row["r"],
-                max_abs_w=row["max_abs_w"],
-                schwarz_ratio=row["max_abs_w"] / row["r"],
-                min_re_q=row["min_re_q"],
-                disk_slack=row["disk_slack"],
-            )
-            for row in rows
-        ),
-        order_estimate=rows[-1]["min_re_q"],
-        w_origin=w0,
+        per_radius=tuple(rows), order_estimate=rows[-1].min_re_q, w_origin=w0
     )
     return hyp, con
+
+
+def _scan_radius(fh, beta, theorem, r, unit):
+    z = r * unit
+    q, p = functionals(fh, z)
+    invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
+    return _reduce(theorem, beta, z, q, p, invert(beta, q))
+
+
+def _run(fh, beta, grid, theorem, bound, threads):
+    unit = np.exp(1j * grid.angles())
+    rows = _map(lambda r: _scan_radius(fh, beta, theorem, r, unit), grid.radii, threads)
+    invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
+    w0 = invert(beta, starlike_q(fh, 0j))
+    return _reports(theorem, grid.radii, bound, w0, *zip(*rows))
+
+
+def _sweep_block(theorem, mu, betas, bounds, radii, z, lg):
+    """The report pairs of a block of power handles (exponents mu) in one
+    (betas x radii x angles) array pass over the shared z and lg = Log(1-z),
+    through the formulas and guards of the per-beta path.  z must keep
+    |z| > SMALL_Z, so the small-z patch (the only use of a handle) is never
+    needed."""
+    b = np.asarray(betas)[:, None, None]
+    f, df, d2f = _power_jet(np.asarray(mu)[:, None, None], lg)
+    p = _p_from_jet(z, df, d2f)
+    del d2f
+    q = _q_from_jet(None, z, f, df)
+    del f, df
+    invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
+    extreme, witness, max_abs_w, min_re_q, slack = _reduce(theorem, b, z, q, p, invert(b, q))
+    # q(0) = 1 for every normalized f; for a power handle the small-z patch
+    # 1 + a_2 * 0 of the per-beta path gives exactly 1 (a_2 = (1 - mu)/2 is finite).
+    w0 = invert(b[:, 0, 0], np.ones(len(betas), dtype=complex))
+    return [
+        _reports(theorem, radii, bounds[j], complex(w0[j]), extreme[j], witness[j],
+                 max_abs_w[j], min_re_q[j], None if slack is None else slack[j])
+        for j in range(len(betas))
+    ]
+
+
+def sweep(handles, betas, grid: SamplingGrid, theorem: int, threads: int = 1):
+    """[run_t1 or run_t2 (by theorem) at (handle, beta)] for each pair of
+    handles and betas, equal to the per-beta calls.
+
+    Every bound is checked before any work.  Consecutive power handles are
+    evaluated in blocks of at most SWEEP_BLOCK_POINTS grid points as one
+    array pass over Log(1 - z), computed once per sweep; threads > 1 maps
+    the blocks over a thread pool.  Other handles, a grid reaching |z| <=
+    SMALL_Z or |z| >= 1, and a block in which a guard fires go through the
+    per-beta path.  Nothing is returned before every beta is done, so
+    replaying a failed block beta by beta raises exactly the first error of
+    the per-beta loop.
+    """
+    bound_of = t1_bound if theorem == 1 else t2_bound
+    bounds = [bound_of(b) for b in betas]
+    unit = np.exp(1j * grid.angles())
+    z = np.asarray(grid.radii)[:, None] * unit
+    rho = np.abs(z)
+    batched = SMALL_Z < rho.min() and rho.max() < 1.0
+    lg = log_one_minus(z) if batched else None
+    per_block = max(1, SWEEP_BLOCK_POINTS // z.size)
+    tasks = []  # (batchable, indices of consecutive betas)
+    for k, fh in enumerate(handles):
+        batchable = batched and fh.kind == "power"
+        if batchable and tasks and tasks[-1][0] and len(tasks[-1][1]) < per_block:
+            tasks[-1][1].append(k)
+        else:
+            tasks.append((batchable, [k]))
+
+    def run(task):
+        batchable, ks = task
+        if batchable:
+            try:
+                return _sweep_block(theorem, [handles[k].mu for k in ks],
+                                    [betas[k] for k in ks], [bounds[k] for k in ks],
+                                    grid.radii, z, lg)
+            except (CriticalPointError, FunctionZeroError, PoleError):
+                pass  # the per-beta replay below raises the first error in order
+        return [_run(handles[k], betas[k], grid, theorem, bounds[k], 1) for k in ks]
+
+    return [pair for part in _map(run, tasks, threads) for pair in part]
 
 
 def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):

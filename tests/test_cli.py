@@ -313,6 +313,32 @@ def test_sweep_non_finite_beta_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("endpoints, message", [
+    (["--beta-min", "2", "--beta-max", "inf"], "--beta-max must be finite (got inf)"),
+    (["--beta-min=-inf", "--beta-max", "2.5"], "--beta-min must be finite (got -inf)"),
+    (["--beta-min", "nan", "--beta-max", "2.5"], "--beta-min must be finite (got nan)"),
+])
+def test_sweep_non_finite_endpoint_is_named(tmp_path, capsys, endpoints, message):
+    out = tmp_path / "s.csv"
+    _rejected(["sweep", "--theorem", "2", "--family", "builtin_halfplane", *endpoints,
+               "--steps", "3", "--out", str(out)] + FAST, capsys, message)
+    assert not out.exists()
+
+
+def test_sweep_negative_exponent_notation(capsys):
+    argv = ["sweep", "--theorem", "2", "--family", "ex2_neg", "--steps", "2",
+            "--angles", "64"]
+    assert run_cli(argv + ["--beta-min=-1e6", "--beta-max=-1e3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [-1e6, -1e3]
+    # the form the help warns about: argparse takes -1e6 for an option
+    assert run_cli(argv + ["--beta-min", "-1e6", "--beta-max=-1e3"]) == 2
+    capsys.readouterr()
+    assert run_cli(["sweep", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--beta-min=-1e6" in help_text and "--beta-max=-1e6" in help_text
+
+
 def test_verify_report_is_strict_json(tmp_path, monkeypatch):
     # a NaN that slipped past the domain checks must not become bare NaN
     real = cli.run_t2

@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import stardisk as sd
-from stardisk.errors import ParameterDomainError, PoleError
+from stardisk import analytic_core, criteria
+from stardisk.errors import (
+    CriticalPointError,
+    FunctionZeroError,
+    ParameterDomainError,
+    PoleError,
+)
 
 from conftest import circ_dist
 
@@ -256,3 +263,136 @@ def test_hypothesis_sharpness_margins_shrink():
             assert hyp.satisfied, (fam, rmax)
             margins.append(hyp.margin_at_rmax)
         assert margins[0] > margins[1] > margins[2] > 0.0
+
+
+# --------------------------------------------------------------------- sweep
+
+def _handles(family, betas):
+    if family.startswith("builtin"):
+        return [sd.make_family(sd.FamilySpec(family)) for _ in betas]
+    return [sd.make_family(sd.FamilySpec(family, b)) for b in betas]
+
+
+def _per_beta(handles, betas, grid, theorem):
+    run = sd.run_t1 if theorem == 1 else sd.run_t2
+    return [run(fh, b, grid) for fh, b in zip(handles, betas)]
+
+
+def _steps(lo, hi, n):
+    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+
+
+LOG_POINT = 1.0 + math.sqrt(2.0)
+
+# small_grid holds 1536 points a beta, so 23 betas make blocks of 5, 5, 5, 5, 3
+SWEEP_CASES = {
+    "ex1_high": (1, _steps(2.0, 2.95, 23)),
+    "ex1_low": (1, _steps(1.05, 2.0, 23)),
+    "ex2_pos": (2, _steps(1.2, 6.0, 23)),
+    "ex2_neg": (2, _steps(-6.0, -1.0, 23)),
+    "builtin_quadratic": (1, _steps(1.5, 2.5, 4)),
+    # power, log (mu ~ 0), power, power: the log point splits the blocks
+    "ex2_pos_mixed": (2, [2.3, LOG_POINT, 2.5, 2.6]),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_equals_the_per_beta_runs(small_grid, case, threads):
+    theorem, betas = SWEEP_CASES[case]
+    handles = _handles(case.removesuffix("_mixed"), betas)
+    got = sd.sweep(handles, betas, small_grid, theorem, threads=threads)
+    assert got == _per_beta(handles, betas, small_grid, theorem)
+
+
+def _block_sizes(monkeypatch, handles, betas, grid, theorem):
+    """Sizes of the array passes of a sweep, checking its result on the way."""
+    sizes = []
+    real = criteria._sweep_block
+
+    def spy(theorem, mu, *args):
+        sizes.append(len(mu))
+        return real(theorem, mu, *args)
+
+    monkeypatch.setattr(criteria, "_sweep_block", spy)
+    assert sd.sweep(handles, betas, grid, theorem) == _per_beta(handles, betas, grid, theorem)
+    return sizes
+
+
+@pytest.mark.parametrize("radii, angles, betas, sizes", [
+    ((0.3, 0.6, 0.9), 512, [2.5], [1]),  # steps = 1
+    ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [5, 5, 5, 5, 3]),
+    ((0.5, 0.9, 0.99), 4096, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta > the budget
+    ((1e-7, 0.5), 256, [2.1, 2.5], []),  # |z| <= SMALL_Z: per-beta path only
+])
+def test_sweep_block_edges(monkeypatch, radii, angles, betas, sizes):
+    grid = sd.SamplingGrid(radii, angles)
+    handles = _handles("ex1_high", betas)
+    assert _block_sizes(monkeypatch, handles, betas, grid, 1) == sizes
+
+
+def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
+    betas = [2.3, 2.35, LOG_POINT, 2.5, 2.6]
+    handles = _handles("ex2_pos", betas)
+    assert [fh.kind for fh in handles] == ["power", "power", "log", "power", "power"]
+    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [2, 2]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (CriticalPointError, FunctionZeroError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+# Guard margins of ex1_high on small_grid: min|f'| falls from 0.886 (beta =
+# 2.9) to 0.125 (2.05), min|f| from 0.297 to 0.259 and min|q - beta| from
+# 1.885 to 0.771, so raised tolerances make the guards fire part way along a
+# descending sweep, at the beta given in the comment.  The per-beta scan
+# checks the radii in order, p guard, q guard, then pole on each.
+DESCENDING = [2.9 - 0.05 * k for k in range(18)]  # blocks 0-4, 5-9, 10-14, 15-17
+REPLAY_CASES = [
+    # (ZERO_TOL, POLE_TOL, betas, error the per-beta loop raises)
+    (0.24, None, DESCENDING, CriticalPointError),  # 2.2, last of its block
+    (0.2925, None, DESCENDING, FunctionZeroError),  # 2.7, last of its block
+    (None, 1.05, DESCENDING, PoleError),  # 2.2
+    # in one block, an earlier beta fails a guard that a block-wide pass
+    # would check after the guard a later beta fails
+    (0.28, None, DESCENDING, FunctionZeroError),  # q guard 2.4, p guard 2.25
+    (0.24, 1.1, DESCENDING, PoleError),  # pole 2.25, p guard 2.2
+    # one beta: q guard on r = 0.3 before p guard on r = 0.9 ...
+    (0.27, None, DESCENDING[::-1], FunctionZeroError),
+    # ... and both on r = 0.3 (min|f'| = 0.72 there at 2.05): p guard first
+    (0.75, None, DESCENDING[::-1], CriticalPointError),
+    (0.3, 1.9, DESCENDING, FunctionZeroError),  # q guard and pole at 2.9
+]
+
+
+@pytest.mark.parametrize("zero_tol, pole_tol, betas, error", REPLAY_CASES)
+def test_sweep_replays_a_failed_block_with_the_per_beta_error(
+        monkeypatch, small_grid, zero_tol, pole_tol, betas, error):
+    if zero_tol is not None:
+        monkeypatch.setattr(analytic_core, "ZERO_TOL", zero_tol)
+    if pole_tol is not None:
+        monkeypatch.setattr(analytic_core, "POLE_TOL", pole_tol)
+    handles = _handles("ex1_high", betas)
+    expected = _outcome(lambda: _per_beta(handles, betas, small_grid, 1))
+    assert expected[0] is error
+    for threads in (1, 2):
+        assert _outcome(lambda: sd.sweep(handles, betas, small_grid, 1, threads)) == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_peak_memory_stays_small(threads):
+    # 2**13-point blocks peak near 1 MB here; 2**16-point blocks took 5.6 MB
+    # (and 11 MB more RSS in a benchmark run) without being faster.
+    betas = _steps(2.0, 2.9, 128)
+    handles = _handles("ex1_high", betas)
+    grid = sd.SamplingGrid((0.5, 0.9, 0.99), 1024)
+    tracemalloc.start()
+    try:
+        sd.sweep(handles, betas, grid, 1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
