@@ -54,7 +54,6 @@ from .families import (
     BUILTIN_FAMILIES,
     PARAMETRIC_FAMILIES,
     FamilySpec,
-    admissible_interval,
     closed_form_p,
     closed_form_q,
     halfplane,

@@ -280,16 +280,25 @@ def functionals(fh: FunctionHandle, z):
     return q, p
 
 
+def _mobius(beta, num, den, pole_message, like):
+    """num / den, the value of a Mobius map, with its pole check: a point
+    where |den| < POLE_TOL raises PoleError(pole_message.format(b)), b the
+    beta of the first such point (beta broadcasts against den).  A complex
+    scalar when like is a scalar."""
+    pole = np.abs(den) < POLE_TOL
+    if np.any(pole):
+        raise PoleError(pole_message.format(float(_first_hit(beta, pole))))
+    out = num / den
+    return complex(out) if np.ndim(like) == 0 else out
+
+
 def mobius_target(beta: float, z):
     """The target Mobius map beta (1 - z) / (beta - z)."""
     if beta == 0.0:
         raise ParameterDomainError("the target map needs beta != 0")
     arr = np.asarray(z, dtype=complex)
-    den = beta - arr
-    if np.any(np.abs(den) < POLE_TOL):
-        raise PoleError(f"z = beta = {beta:g} is the pole of the target map")
-    out = beta * (1.0 - arr) / den
-    return complex(out) if np.ndim(z) == 0 else out
+    return _mobius(beta, beta * (1.0 - arr), beta - arr,
+                   "z = beta = {:g} is the pole of the target map", z)
 
 
 def mobius_invert_t1(beta, q):
@@ -299,13 +308,8 @@ def mobius_invert_t1(beta, q):
     of its first point.
     """
     arr = np.asarray(q, dtype=complex)
-    den = arr - beta
-    pole = np.abs(den) < POLE_TOL
-    if np.any(pole):
-        b = float(_first_hit(beta, pole))
-        raise PoleError(f"q = beta = {b:g} is the pole of the inverse map")
-    out = beta * (arr - 1.0) / den
-    return complex(out) if np.ndim(q) == 0 else out
+    return _mobius(beta, beta * (arr - 1.0), arr - beta,
+                   "q = beta = {:g} is the pole of the inverse map", q)
 
 
 def mobius_invert_t2(beta, q):
@@ -315,13 +319,8 @@ def mobius_invert_t2(beta, q):
     beta may be an array that broadcasts against q, as in mobius_invert_t1.
     """
     arr = np.asarray(q, dtype=complex)
-    den = 1.0 - beta * arr
-    pole = np.abs(den) < POLE_TOL
-    if np.any(pole):
-        b = float(_first_hit(beta, pole))
-        raise PoleError(f"beta * q = 1 (beta = {b:g}) is the pole of the inverse map")
-    out = beta * (1.0 - arr) / den
-    return complex(out) if np.ndim(q) == 0 else out
+    return _mobius(beta, beta * (1.0 - arr), 1.0 - beta * arr,
+                   "beta * q = 1 (beta = {:g}) is the pole of the inverse map", q)
 
 
 def target_disk(beta: float) -> DiskSpec:

@@ -245,8 +245,7 @@ def cmd_sweep(args) -> int:
     # run_sweep) so a straddling range fails before any output is produced.
     handles = [handle_from_name(args.family, b) for b in betas]
     lines = [CSV_HEADER]
-    for b, (hyp, con) in zip(betas, run_sweep(handles, betas, grid, args.theorem,
-                                              threads=args.threads)):
+    for b, (hyp, con) in zip(betas, run_sweep(handles, betas, grid, args.theorem)):
         last = con.per_radius[-1]
         lines.append(
             ",".join(
@@ -339,8 +338,8 @@ def _add_grid_args(sp) -> None:
         "--threads",
         type=_threads_arg,
         default=1,
-        help="worker threads, >= 1: across radii for verify, across blocks of beta "
-        "for sweep; reports do not depend on the count",
+        help="worker threads, >= 1, splitting the radii of verify; sweep and plot "
+        "accept the flag and ignore it; reports do not depend on the count",
     )
 
 

@@ -29,7 +29,7 @@ from .analytic_core import (
     starlike_q,
 )
 from .errors import CriticalPointError, FunctionZeroError, ParameterDomainError, PoleError
-from .search import golden_max, golden_min
+from .search import golden_max, golden_min, refine_extremum
 
 # Theorem 2's bound and boundary value multiply beta^2 by small constants,
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
@@ -124,16 +124,6 @@ def t2_bound(beta: float) -> float:
     return (3.0 * beta + 1.0) / (2.0 * beta * (beta + 1.0))
 
 
-def _map(fn, items, threads):
-    """[fn(x) for x in items], on a thread pool when threads > 1.  The
-    results keep the order of items whatever the worker count, so reports
-    do not depend on it."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _reduce(theorem, beta, z, q, p, w):
     """Reductions over the last (angle) axis of z, q = z f'/f, p = 1 + z f''/f'
     and w: the extreme of Re p (max for theorem 1, min for theorem 2) and
@@ -192,10 +182,23 @@ def _scan_radius(fh, beta, theorem, r, unit):
 
 
 def _run(fh, beta, grid, theorem, bound, threads):
+    """The report pair of one beta.  With threads > 1 the radii are scanned
+    on a thread pool; pool.map keeps their order, so the reports do not
+    depend on the worker count."""
     unit = np.exp(1j * grid.angles())
-    rows = _map(lambda r: _scan_radius(fh, beta, theorem, r, unit), grid.radii, threads)
+
+    def scan(r):
+        return _scan_radius(fh, beta, theorem, r, unit)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(scan, grid.radii))
+    else:
+        rows = [scan(r) for r in grid.radii]
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
-    w0 = invert(beta, starlike_q(fh, 0j))
+    # q(0) = 1 + a_2 * 0 has real part exactly 1 for every handle, so w(0)
+    # needs no jet; the check still raises the pole of beta -> 1.
+    w0 = invert(beta, 1.0 + 0j)
     return _reports(theorem, grid.radii, bound, w0, *zip(*rows))
 
 
@@ -213,8 +216,7 @@ def _sweep_block(theorem, mu, betas, bounds, radii, z, lg):
     del f, df
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     extreme, witness, max_abs_w, min_re_q, slack = _reduce(theorem, b, z, q, p, invert(b, q))
-    # q(0) = 1 for every normalized f; for a power handle the small-z patch
-    # 1 + a_2 * 0 of the per-beta path gives exactly 1 (a_2 = (1 - mu)/2 is finite).
+    # w(0) as in _run, for every beta of the block at once
     w0 = invert(b[:, 0, 0], np.ones(len(betas), dtype=complex))
     return [
         _reports(theorem, radii, bounds[j], complex(w0[j]), extreme[j], witness[j],
@@ -223,18 +225,17 @@ def _sweep_block(theorem, mu, betas, bounds, radii, z, lg):
     ]
 
 
-def sweep(handles, betas, grid: SamplingGrid, theorem: int, threads: int = 1):
+def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     """[run_t1 or run_t2 (by theorem) at (handle, beta)] for each pair of
     handles and betas, equal to the per-beta calls.
 
     Every bound is checked before any work.  Consecutive power handles are
     evaluated in blocks of at most SWEEP_BLOCK_POINTS grid points as one
-    array pass over Log(1 - z), computed once per sweep; threads > 1 maps
-    the blocks over a thread pool.  Other handles, a grid reaching |z| <=
-    SMALL_Z or |z| >= 1, and a block in which a guard fires go through the
-    per-beta path.  Nothing is returned before every beta is done, so
-    replaying a failed block beta by beta raises exactly the first error of
-    the per-beta loop.
+    array pass over Log(1 - z), computed once per sweep.  Other handles, a
+    grid reaching |z| <= SMALL_Z or |z| >= 1, and a block in which a guard
+    fires go through the per-beta path on one thread.  Nothing is returned
+    before every beta is done, so replaying a failed block beta by beta
+    raises exactly the first error of the per-beta loop.
     """
     bound_of = t1_bound if theorem == 1 else t2_bound
     bounds = [bound_of(b) for b in betas]
@@ -252,18 +253,18 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int, threads: int = 1):
         else:
             tasks.append((batchable, [k]))
 
-    def run(task):
-        batchable, ks = task
+    out = []
+    for batchable, ks in tasks:
         if batchable:
             try:
-                return _sweep_block(theorem, [handles[k].mu for k in ks],
+                out += _sweep_block(theorem, [handles[k].mu for k in ks],
                                     [betas[k] for k in ks], [bounds[k] for k in ks],
                                     grid.radii, z, lg)
+                continue
             except (CriticalPointError, FunctionZeroError, PoleError):
                 pass  # the per-beta replay below raises the first error in order
-        return [_run(handles[k], betas[k], grid, theorem, bounds[k], 1) for k in ks]
-
-    return [pair for part in _map(run, tasks, threads) for pair in part]
+        out += [_run(handles[k], betas[k], grid, theorem, bounds[k], 1) for k in ks]
+    return out
 
 
 def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
@@ -327,37 +328,21 @@ def proof_boundary_value_t2(beta: float, theta, k: float):
     return float(val) if np.ndim(theta) == 0 else val
 
 
-def _extremal_scan(value_at, n, minimize):
+def _extremal_scan(value_at, n, sense):
     if n < 256:
         raise ParameterDomainError(f"theta_samples must be >= 256 (got {n})")
     th = 2.0 * np.pi * np.arange(n) / n
-    vals = value_at(th)
-    delta = 2.0 * np.pi / n
-    # Values within rounding noise of the extreme count as ties and resolve
-    # to the smallest angle; refinement must beat the coarse sample beyond
-    # noise to move the reported angle.
-    if minimize:
-        vbest = float(vals.min())
-        noise = 1e-12 * max(1.0, abs(vbest))
-        i = int(np.argmax(vals <= vbest + noise))
-        x, v = golden_min(lambda t: float(value_at(t)), th[i] - delta, th[i] + delta)
-        if vals[i] - v <= noise:
-            x, v = float(th[i]), float(vals[i])
-    else:
-        vbest = float(vals.max())
-        noise = 1e-12 * max(1.0, abs(vbest))
-        i = int(np.argmax(vals >= vbest - noise))
-        x, v = golden_max(lambda t: float(value_at(t)), th[i] - delta, th[i] + delta)
-        if v - vals[i] <= noise:
-            x, v = float(th[i]), float(vals[i])
-    return float(x % (2.0 * np.pi)), float(v)
+    golden = golden_max if sense == 1 else golden_min
+    return refine_extremum(
+        th, value_at(th), lambda a, b: golden(lambda t: float(value_at(t)), a, b), sense
+    )
 
 
 def proof_extremal_t1(beta: float, theta_samples: int) -> BoundaryScan:
     """Minimum over theta of the theorem-1 boundary value at k = 1; equals
     t1_bound(beta) up to the refinement tolerance (sharpness of the bound)."""
     theta_star, val = _extremal_scan(
-        lambda t: proof_boundary_value_t1(beta, t, 1.0), theta_samples, minimize=True
+        lambda t: proof_boundary_value_t1(beta, t, 1.0), theta_samples, -1
     )
     return BoundaryScan(theta_samples, 1.0, val, theta_star)
 
@@ -366,6 +351,6 @@ def proof_extremal_t2(beta: float, theta_samples: int) -> BoundaryScan:
     """Maximum over theta of the theorem-2 boundary value at k = 1; equals
     t2_bound(beta) up to the refinement tolerance."""
     theta_star, val = _extremal_scan(
-        lambda t: proof_boundary_value_t2(beta, t, 1.0), theta_samples, minimize=False
+        lambda t: proof_boundary_value_t2(beta, t, 1.0), theta_samples, 1
     )
     return BoundaryScan(theta_samples, 1.0, val, theta_star)

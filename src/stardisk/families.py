@@ -52,13 +52,6 @@ class FamilySpec:
     beta: float | None = None
 
 
-def admissible_interval(family_id: str) -> str:
-    """Human-readable admissible beta interval of a parametric family."""
-    if family_id not in _INTERVALS:
-        raise ParameterDomainError(f"'{family_id}' is not a parametric family id")
-    return _INTERVALS[family_id][1]
-
-
 def validate_spec(spec: FamilySpec) -> None:
     if spec.id in _INTERVALS:
         check, interval = _INTERVALS[spec.id]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic_core import FunctionHandle, mobius_invert_t1, mobius_invert_t2, starlike_q
 from .errors import DegenerateSchwarzError, DiskDomainError, ParameterDomainError
-from .search import golden_max
+from .search import golden_max, refine_extremum
 
 DEGENERATE_TOL = 1e-13
 
@@ -91,8 +91,8 @@ def boundary_argmax(w, r: float, n: int = 1024):
     """Locate the maximum of |w| on |z| = r.
 
     Coarse scan over n uniform angles, then golden-section refinement of
-    the bracket around the first coarse argmax down to 1e-12 in theta.
-    Returns (theta_star, max_abs).
+    the bracket around the first coarse argmax down to 1e-12 in theta, by
+    search.refine_extremum.  Returns (theta_star, max_abs).
     """
     if not 0.0 < r < 1.0:
         raise DiskDomainError(f"probe radius must be in (0, 1) (got {r:g})")
@@ -100,23 +100,15 @@ def boundary_argmax(w, r: float, n: int = 1024):
         raise ParameterDomainError(f"angular sample count must be >= 256 (got {n})")
     th = 2.0 * np.pi * np.arange(n) / n
     vals = np.abs(np.asarray(w(r * np.exp(1j * th))))
-    vmax = float(vals.max())
-    if vmax < DEGENERATE_TOL:
+    if vals.max() < DEGENERATE_TOL:
         raise DegenerateSchwarzError(
             f"|w| < {DEGENERATE_TOL:g} everywhere on |z| = {r:g}"
         )
-    # Values within rounding noise of the maximum count as ties; the
-    # smallest tied angle wins (|z^n| is constant on circles, for example).
-    i = int(np.argmax(vals >= vmax - 1e-12 * max(1.0, vmax)))
-    delta = 2.0 * np.pi / n
-    theta, val = golden_max(
-        lambda t: abs(w(r * cmath.exp(1j * t))), th[i] - delta, th[i] + delta
+    # Ties (|z^n| is constant on circles, for example) resolve to the
+    # smallest coarse angle.
+    return refine_extremum(
+        th, vals, lambda a, b: golden_max(lambda t: abs(w(r * cmath.exp(1j * t))), a, b), 1
     )
-    # Keep the coarse angle unless refinement improves beyond rounding noise;
-    # ties (constant |w|) then resolve to the smallest coarse angle.
-    if val - vals[i] <= 1e-12 * max(1.0, float(vals[i])):
-        theta, val = float(th[i]), float(vals[i])
-    return float(theta % (2.0 * np.pi)), float(val)
 
 
 def jack_probe(w, r: float, n: int = 1024) -> JackProbe:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_mobius_target_values():
 
 
 def test_mobius_target_pole():
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="^z = beta = 0.5 is the pole of the target map$"):
         sd.mobius_target(0.5, 0.5)
     with pytest.raises(ParameterDomainError):
         sd.mobius_target(0.0, 0.3)
@@ -179,7 +180,7 @@ def test_mobius_invert_t1_values():
     assert abs(sd.mobius_invert_t1(2.5, 1.0)) <= 1e-15
     # for f = z - z^2/2 the induced w is the identity
     assert abs(sd.mobius_invert_t1(2.0, 2.0 / 3.0) - 0.5) <= 1e-15
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="^q = beta = 2 is the pole of the inverse map$"):
         sd.mobius_invert_t1(2.0, 2.0)
 
 
@@ -187,8 +188,35 @@ def test_mobius_invert_t2_values():
     assert abs(sd.mobius_invert_t2(-1.0, 1.0)) <= 1e-15
     assert abs(sd.mobius_invert_t2(3.0, 1.0)) <= 1e-15
     assert abs(sd.mobius_invert_t2(-1.0, 2.0) - 1.0 / 3.0) <= 1e-15
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=re.escape(
+            "beta * q = 1 (beta = 2) is the pole of the inverse map")):
         sd.mobius_invert_t2(2.0, 0.5)
+
+
+def test_mobius_pole_names_the_beta_of_the_first_pole():
+    with pytest.raises(PoleError, match="^z = beta = 2.5 is the pole"):
+        sd.mobius_target(2.5, np.array([0.1, 2.5]))
+    with pytest.raises(PoleError, match="^q = beta = 1.5 is the pole"):
+        sd.mobius_invert_t1(1.5, np.array([0.3, 1.5 + 1e-14]))
+    # rows are betas; row-major order meets the pole of beta = 2 (q = 0.5)
+    # before that of beta = 4 (q = 0.25) and that of beta = 5 (q = 0.2)
+    beta = np.array([3.0, 2.0, 4.0, 5.0])[:, None]
+    q = np.array([[0.1, 0.2], [0.3, 0.5], [0.25, 0.1], [0.2, 0.2]])
+    with pytest.raises(PoleError, match=re.escape("(beta = 2) is the pole")):
+        sd.mobius_invert_t2(beta, q)
+    with pytest.raises(PoleError, match=re.escape("(beta = 4) is the pole")):
+        sd.mobius_invert_t2(beta[2:], q[2:])
+    # with no pole the array beta broadcasts and matches the scalar calls
+    w = sd.mobius_invert_t2(beta, q * 0.5)
+    for k in range(4):
+        assert np.array_equal(w[k], sd.mobius_invert_t2(float(beta[k, 0]), q[k] * 0.5))
+
+
+def test_mobius_maps_return_scalars_for_scalars():
+    for value in (sd.mobius_target(2.0, 0.3), sd.mobius_invert_t1(2.0, 0.3),
+                  sd.mobius_invert_t2(2.0, 0.3)):
+        assert type(value) is complex
+    assert sd.mobius_invert_t1(2.0, np.array([0.3])).shape == (1,)
 
 
 def test_mobius_roundtrip():

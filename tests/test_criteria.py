@@ -273,9 +273,9 @@ def _handles(family, betas):
     return [sd.make_family(sd.FamilySpec(family, b)) for b in betas]
 
 
-def _per_beta(handles, betas, grid, theorem):
+def _per_beta(handles, betas, grid, theorem, threads=1):
     run = sd.run_t1 if theorem == 1 else sd.run_t2
-    return [run(fh, b, grid) for fh, b in zip(handles, betas)]
+    return [run(fh, b, grid, threads) for fh, b in zip(handles, betas)]
 
 
 def _steps(lo, hi, n):
@@ -296,13 +296,14 @@ SWEEP_CASES = {
 }
 
 
+# threads: the worker count of the per-beta runs the sweep is compared with
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_equals_the_per_beta_runs(small_grid, case, threads):
     theorem, betas = SWEEP_CASES[case]
     handles = _handles(case.removesuffix("_mixed"), betas)
-    got = sd.sweep(handles, betas, small_grid, theorem, threads=threads)
-    assert got == _per_beta(handles, betas, small_grid, theorem)
+    got = sd.sweep(handles, betas, small_grid, theorem)
+    assert got == _per_beta(handles, betas, small_grid, theorem, threads)
 
 
 def _block_sizes(monkeypatch, handles, betas, grid, theorem):
@@ -378,20 +379,19 @@ def test_sweep_replays_a_failed_block_with_the_per_beta_error(
     handles = _handles("ex1_high", betas)
     expected = _outcome(lambda: _per_beta(handles, betas, small_grid, 1))
     assert expected[0] is error
-    for threads in (1, 2):
-        assert _outcome(lambda: sd.sweep(handles, betas, small_grid, 1, threads)) == expected
+    assert _outcome(lambda: sd.sweep(handles, betas, small_grid, 1)) == expected
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_peak_memory_stays_small(threads):
+@pytest.mark.parametrize("theorem", [1, 2])
+def test_sweep_peak_memory_stays_small(theorem):
     # 2**13-point blocks peak near 1 MB here; 2**16-point blocks took 5.6 MB
     # (and 11 MB more RSS in a benchmark run) without being faster.
     betas = _steps(2.0, 2.9, 128)
-    handles = _handles("ex1_high", betas)
+    handles = _handles("ex1_high" if theorem == 1 else "ex2_pos", betas)
     grid = sd.SamplingGrid((0.5, 0.9, 0.99), 1024)
     tracemalloc.start()
     try:
-        sd.sweep(handles, betas, grid, 1, threads=threads)
+        sd.sweep(handles, betas, grid, theorem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
