@@ -76,6 +76,11 @@ CASES = {
     "sweep_t1_halfplane_pole": [
         "sweep", "--theorem", "1", "--family", "builtin_halfplane", "--beta-min", "2",
         "--beta-max", "2.5", "--steps", "2", "--radii", "0.5,0.9", "--angles", "64"],
+    # 0.9999999999999999 * e^{i theta} rounds onto |z| = 1 at some angles
+    "sweep_t1_ex1_high_unit_radius": [
+        "sweep", "--theorem", "1", "--family", "ex1_high", "--beta-min", "2.1",
+        "--beta-max", "2.9", "--steps", "4", "--radii", "0.5,0.9999999999999999",
+        "--angles", "256"],
     "proof_scan_t1": [
         "proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "1024"],
     "proof_scan_t2": [
