@@ -86,6 +86,16 @@ def _threads_arg(text: str) -> int:
     return threads
 
 
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number in [0, inf) (got '{text}')")
+    return tol
+
+
 def _window_arg(text: str):
     parts = text.split(":")
     if len(parts) != 4:
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(verify)
     verify.add_argument(
         "--schwarz-tol",
-        type=float,
+        type=_tol_arg,
         default=1e-6,
         help="tolerance on max|w|/r <= 1 (default 1e-6)",
     )
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--beta", type=float, required=True,
                       help=NEGATIVE_HELP.format("--beta"))
     scan.add_argument("--theta-steps", type=int, default=4096, help=">= 256")
-    scan.add_argument("--tol", type=float, default=1e-9)
+    scan.add_argument("--tol", type=_tol_arg, default=1e-9)
     scan.add_argument("--out", default=None)
     scan.set_defaults(func=cmd_proof_scan)
 
@@ -408,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jackp.add_argument("--r", type=float, required=True, help="circle radius in (0,1)")
     jackp.add_argument("--n", type=int, default=1024, help="angular samples, >= 256")
-    jackp.add_argument("--imag-tol", type=float, default=1e-3)
-    jackp.add_argument("--k-tol", type=float, default=1e-3)
+    jackp.add_argument("--imag-tol", type=_tol_arg, default=1e-3)
+    jackp.add_argument("--k-tol", type=_tol_arg, default=1e-3)
     jackp.add_argument("--out", default=None)
     jackp.set_defaults(func=cmd_jack)
 

@@ -21,6 +21,7 @@ from .analytic_core import (
     _p_from_jet,
     _power_jet,
     _q_from_jet,
+    _require_in_disk,
     convexity_p,
     functionals,
     log_one_minus,
@@ -34,8 +35,9 @@ from .search import golden_max, golden_min, refine_extremum
 # Theorem 2's bound and boundary value multiply beta^2 by small constants,
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
 T2_BETA_MAX = 1e150
-# Grid points (betas x radii x angles) of one array pass of sweep.  Blocks
-# of 2**16 points were no faster and raised the peak RSS by 11 MB.
+# Grid points (betas x angles) of one array pass over one circle when _run
+# scans a run of power handles together.  Passes of 2**16 points were no
+# faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
 
 
@@ -174,97 +176,94 @@ def _reports(theorem, radii, bound, w0, extreme, witness, max_abs_w, min_re_q, s
     return hyp, con
 
 
-def _scan_radius(fh, beta, theorem, r, unit):
-    z = r * unit
-    q, p = functionals(fh, z)
-    invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
-    return _reduce(theorem, beta, z, q, p, invert(beta, q))
-
-
-def _run(fh, beta, grid, theorem, bound, threads):
-    """The report pair of one beta.  With threads > 1 the radii are scanned
-    on a thread pool; pool.map keeps their order, so the reports do not
-    depend on the worker count."""
-    unit = np.exp(1j * grid.angles())
-
-    def scan(r):
-        return _scan_radius(fh, beta, theorem, r, unit)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(scan, grid.radii))
+def _scan(theorem, handles, betas, z, lg):
+    """The _reduce results of the handles at their betas on one circle z:
+    one handle through functionals, or a run of power handles as one
+    (betas x angles) array pass over lg = Log(1 - z) through the same
+    formulas and guards.  The power pass has no small-z patch, so z must
+    keep |z| > SMALL_Z."""
+    if len(handles) == 1:
+        q, p = functionals(handles[0], z[None])
     else:
-        rows = [scan(r) for r in grid.radii]
+        _require_in_disk(z)
+        f, df, d2f = _power_jet(np.array([fh.mu for fh in handles])[:, None], lg)
+        p = _p_from_jet(z, df, d2f)
+        del d2f
+        q = _q_from_jet(None, z, f, df)
+        del f, df
+    b = np.asarray(betas)[:, None]
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
-    # q(0) = 1 + a_2 * 0 has real part exactly 1 for every handle, so w(0)
-    # needs no jet; the check still raises the pole of beta -> 1.
-    w0 = invert(beta, 1.0 + 0j)
-    return _reports(theorem, grid.radii, bound, w0, *zip(*rows))
+    return _reduce(theorem, b, z, q, p, invert(b, q))
 
 
-def _sweep_block(theorem, mu, betas, bounds, radii, z, lg):
-    """The report pairs of a block of power handles (exponents mu) in one
-    (betas x radii x angles) array pass over the shared z and lg = Log(1-z),
-    through the formulas and guards of the per-beta path.  z must keep
-    |z| > SMALL_Z, so the small-z patch (the only use of a handle) is never
-    needed."""
-    b = np.asarray(betas)[:, None, None]
-    f, df, d2f = _power_jet(np.asarray(mu)[:, None, None], lg)
-    p = _p_from_jet(z, df, d2f)
-    del d2f
-    q = _q_from_jet(None, z, f, df)
-    del f, df
+def _run(handles, betas, grid, theorem, bounds, threads=1):
+    """The report pairs of the handles at their betas and bounds, equal to
+    one run per beta.
+
+    The betas are split into groups: a run of consecutive power handles,
+    at most SWEEP_BLOCK_POINTS // angular_count of them, when every grid
+    point has |z| > SMALL_Z, or else a single beta.  Each group is scanned
+    circle by circle, on a thread pool over the radii when threads > 1;
+    pool.map keeps their order, so the reports do not depend on the worker
+    count.  Log(1 - z) is computed once, and only when a group holds
+    several betas.  Such a group is replayed beta by beta when a guard
+    fires, so the first error is that of the per-beta loop.
+    """
+    unit = np.exp(1j * grid.angles())
+    per_group = SWEEP_BLOCK_POINTS // grid.angular_count
+    # |r e^{i theta}| can round below r, so the test is on the points
+    if len(handles) < 2 or np.abs(grid.radii[0] * unit).min() <= SMALL_Z:
+        per_group = 1
+    groups = []
+    for k, fh in enumerate(handles):
+        if (fh.kind == "power" and groups and len(groups[-1]) < per_group
+                and handles[groups[-1][-1]].kind == "power"):
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    several = any(len(ks) > 1 for ks in groups)
+    lg = log_one_minus(np.asarray(grid.radii)[:, None] * unit) if several else None
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
-    extreme, witness, max_abs_w, min_re_q, slack = _reduce(theorem, b, z, q, p, invert(b, q))
-    # w(0) as in _run, for every beta of the block at once
-    w0 = invert(b[:, 0, 0], np.ones(len(betas), dtype=complex))
-    return [
-        _reports(theorem, radii, bounds[j], complex(w0[j]), extreme[j], witness[j],
-                 max_abs_w[j], min_re_q[j], None if slack is None else slack[j])
-        for j in range(len(betas))
-    ]
+    out = []
+    for ks in groups:
+        hs, bs = [handles[k] for k in ks], [betas[k] for k in ks]
+
+        def scan(i):
+            return _scan(theorem, hs, bs, grid.radii[i] * unit, None if lg is None else lg[i])
+
+        try:
+            if threads > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    rows = list(pool.map(scan, range(len(grid.radii))))
+            else:
+                rows = [scan(i) for i in range(len(grid.radii))]
+            # q(0) = 1 + a_2 * 0 has real part exactly 1 for every handle, so
+            # w(0) needs no jet; the check still raises the pole of beta -> 1.
+            w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
+        except (CriticalPointError, FunctionZeroError, PoleError):
+            if len(ks) == 1:
+                raise
+            for k in ks:
+                out += _run(handles[k:k + 1], betas[k:k + 1], grid, theorem,
+                            bounds[k:k + 1], threads)
+            continue
+        for j, k in enumerate(ks):
+            # the per-radius reductions of beta j (a slack of None stays None)
+            cols = [[None if a is None else a[j] for a in col] for col in zip(*rows)]
+            out.append(_reports(theorem, grid.radii, bounds[k], complex(w0[j]), *cols))
+    return out
 
 
 def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     """[run_t1 or run_t2 (by theorem) at (handle, beta)] for each pair of
-    handles and betas, equal to the per-beta calls.
+    handles and betas, equal to the per-beta calls, on one thread.
 
-    Every bound is checked before any work.  Consecutive power handles are
-    evaluated in blocks of at most SWEEP_BLOCK_POINTS grid points as one
-    array pass over Log(1 - z), computed once per sweep.  Other handles, a
-    grid reaching |z| <= SMALL_Z or |z| >= 1, and a block in which a guard
-    fires go through the per-beta path on one thread.  Nothing is returned
-    before every beta is done, so replaying a failed block beta by beta
-    raises exactly the first error of the per-beta loop.
+    Every bound is checked before any work.  _run scans runs of consecutive
+    power handles together, one array pass per circle, and nothing is
+    returned before every beta is done.
     """
     bound_of = t1_bound if theorem == 1 else t2_bound
-    bounds = [bound_of(b) for b in betas]
-    unit = np.exp(1j * grid.angles())
-    z = np.asarray(grid.radii)[:, None] * unit
-    rho = np.abs(z)
-    batched = SMALL_Z < rho.min() and rho.max() < 1.0
-    lg = log_one_minus(z) if batched else None
-    per_block = max(1, SWEEP_BLOCK_POINTS // z.size)
-    tasks = []  # (batchable, indices of consecutive betas)
-    for k, fh in enumerate(handles):
-        batchable = batched and fh.kind == "power"
-        if batchable and tasks and tasks[-1][0] and len(tasks[-1][1]) < per_block:
-            tasks[-1][1].append(k)
-        else:
-            tasks.append((batchable, [k]))
-
-    out = []
-    for batchable, ks in tasks:
-        if batchable:
-            try:
-                out += _sweep_block(theorem, [handles[k].mu for k in ks],
-                                    [betas[k] for k in ks], [bounds[k] for k in ks],
-                                    grid.radii, z, lg)
-                continue
-            except (CriticalPointError, FunctionZeroError, PoleError):
-                pass  # the per-beta replay below raises the first error in order
-        out += [_run(handles[k], betas[k], grid, theorem, bounds[k], 1) for k in ks]
-    return out
+    return _run(handles, betas, grid, theorem, [bound_of(b) for b in betas])
 
 
 def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
@@ -272,14 +271,14 @@ def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1
     (w = mobius_invert_t1(beta, z f'/f) a Schwarz function; q inside the
     target disk) on the grid.  Returns (HypothesisReport, ConclusionReport).
     """
-    return _run(fh, beta, grid, 1, t1_bound(beta), threads)
+    return _run([fh], [beta], grid, 1, [t1_bound(beta)], threads)[0]
 
 
 def run_t2(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
     """Check the theorem-2 hypothesis (Re p above t2_bound) and conclusion
     (w = mobius_invert_t2(beta, z f'/f) a Schwarz function; starlikeness
     order target (beta+1)/(2 beta))."""
-    return _run(fh, beta, grid, 2, t2_bound(beta), threads)
+    return _run([fh], [beta], grid, 2, [t2_bound(beta)], threads)[0]
 
 
 def order_of_starlikeness(fh: FunctionHandle, grid: SamplingGrid) -> float:

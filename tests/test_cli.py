@@ -362,6 +362,20 @@ def test_threads_below_one_exit_code(capsys, threads):
     assert "--threads: must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
+     "--schwarz-tol"],
+    ["proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "256", "--tol"],
+    ["jack", "--w", "monomial:3", "--r", "0.9", "--n", "256", "--imag-tol"],
+    ["jack", "--w", "monomial:3", "--r", "0.9", "--n", "256", "--k-tol"],
+], ids=["schwarz-tol", "tol", "imag-tol", "k-tol"])
+def test_tolerance_outside_its_interval_exit_code(capsys, argv, tol):
+    assert run_cli(argv[:-1] + [f"{argv[-1]}={tol}"]) == 2
+    assert f"{argv[-1]}: must be a finite number in [0, inf) (got '{tol}')" in \
+        capsys.readouterr().err
+
+
 # ------------------------------------------------------ python -m entry points
 
 @pytest.mark.parametrize("module", ["stardisk", "stardisk.cli"])

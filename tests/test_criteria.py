@@ -284,7 +284,7 @@ def _steps(lo, hi, n):
 
 LOG_POINT = 1.0 + math.sqrt(2.0)
 
-# small_grid holds 1536 points a beta, so 23 betas make blocks of 5, 5, 5, 5, 3
+# small_grid holds 512 points a circle, so 23 betas make groups of 16 and 7
 SWEEP_CASES = {
     "ex1_high": (1, _steps(2.0, 2.95, 23)),
     "ex1_low": (1, _steps(1.05, 2.0, 23)),
@@ -307,24 +307,34 @@ def test_sweep_equals_the_per_beta_runs(small_grid, case, threads):
 
 
 def _block_sizes(monkeypatch, handles, betas, grid, theorem):
-    """Sizes of the array passes of a sweep, checking its result on the way."""
+    """Sizes of the groups a sweep scans, checking its result on the way."""
+    expected = _per_beta(handles, betas, grid, theorem)
     sizes = []
-    real = criteria._sweep_block
+    real = criteria._scan
 
-    def spy(theorem, mu, *args):
-        sizes.append(len(mu))
-        return real(theorem, mu, *args)
+    def spy(theorem, handles, *args):
+        sizes.append(len(handles))
+        return real(theorem, handles, *args)
 
-    monkeypatch.setattr(criteria, "_sweep_block", spy)
-    assert sd.sweep(handles, betas, grid, theorem) == _per_beta(handles, betas, grid, theorem)
-    return sizes
+    monkeypatch.setattr(criteria, "_scan", spy)
+    assert sd.sweep(handles, betas, grid, theorem) == expected
+    # one pass per circle, circle by circle within a group
+    assert sizes == [n for n in sizes[::len(grid.radii)] for _ in grid.radii]
+    return sizes[::len(grid.radii)]
+
+
+# SMALL_Z < r, but |r e^{i theta}| rounds to SMALL_Z or below at some angles
+ROUNDS_TO_SMALL_Z = float(np.nextafter(analytic_core.SMALL_Z, 1.0))
 
 
 @pytest.mark.parametrize("radii, angles, betas, sizes", [
     ((0.3, 0.6, 0.9), 512, [2.5], [1]),  # steps = 1
-    ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [5, 5, 5, 5, 3]),
-    ((0.5, 0.9, 0.99), 4096, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta > the budget
-    ((1e-7, 0.5), 256, [2.1, 2.5], []),  # |z| <= SMALL_Z: per-beta path only
+    ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [16, 7]),
+    ((0.5, 0.9, 0.99), 4096, [2.1, 2.5, 2.9], [2, 1]),
+    ((0.5, 0.9, 0.99), 8192, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta fills a pass
+    ((0.5, 0.9, 0.99), 16384, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta > the budget
+    ((1e-7, 0.5), 256, [2.1, 2.5], [1, 1]),  # |z| <= SMALL_Z: one beta at a time
+    ((ROUNDS_TO_SMALL_Z, 0.5), 256, [2.1, 2.5], [1, 1]),
 ])
 def test_sweep_block_edges(monkeypatch, radii, angles, betas, sizes):
     grid = sd.SamplingGrid(radii, angles)
@@ -336,7 +346,7 @@ def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
     betas = [2.3, 2.35, LOG_POINT, 2.5, 2.6]
     handles = _handles("ex2_pos", betas)
     assert [fh.kind for fh in handles] == ["power", "power", "log", "power", "power"]
-    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [2, 2]
+    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [2, 1, 2]
 
 
 def _outcome(call):
@@ -346,26 +356,28 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# Guard margins of ex1_high on small_grid: min|f'| falls from 0.886 (beta =
-# 2.9) to 0.125 (2.05), min|f| from 0.297 to 0.259 and min|q - beta| from
-# 1.885 to 0.771, so raised tolerances make the guards fire part way along a
-# descending sweep, at the beta given in the comment.  The per-beta scan
-# checks the radii in order, p guard, q guard, then pole on each.
-DESCENDING = [2.9 - 0.05 * k for k in range(18)]  # blocks 0-4, 5-9, 10-14, 15-17
+# Guard margins of ex1_high on small_grid, per circle r = 0.3 / 0.6 / 0.9:
+# min|f'| is 0.81 / 0.58 / 0.25 at beta = 2.25 and falls with beta to
+# 0.77 / 0.51 / 0.18 at 2.15; min|f| on r = 0.3 falls from 0.297 (2.9) to
+# 0.266 (2.15); min|q - beta| is 1.17 / 1.12 / 1.07 at 2.25, 1.11 / 1.05 /
+# 1.00 at 2.2 and 1.06 / 0.98 / 0.93 at 2.15.  So raised tolerances make
+# the guards fire part way along a descending sweep.  The per-beta scan
+# checks the circles in order, p guard, q guard, then pole on each; a group
+# of 16 betas (2.9 down to 2.15) checks each circle for all of them first,
+# and each case below raises another error unless the group is replayed.
+DESCENDING = [2.9 - 0.05 * k for k in range(18)]  # groups 2.9-2.15, 2.1-2.05
 REPLAY_CASES = [
     # (ZERO_TOL, POLE_TOL, betas, error the per-beta loop raises)
-    (0.24, None, DESCENDING, CriticalPointError),  # 2.2, last of its block
-    (0.2925, None, DESCENDING, FunctionZeroError),  # 2.7, last of its block
-    (None, 1.05, DESCENDING, PoleError),  # 2.2
-    # in one block, an earlier beta fails a guard that a block-wide pass
-    # would check after the guard a later beta fails
-    (0.28, None, DESCENDING, FunctionZeroError),  # q guard 2.4, p guard 2.25
-    (0.24, 1.1, DESCENDING, PoleError),  # pole 2.25, p guard 2.2
-    # one beta: q guard on r = 0.3 before p guard on r = 0.9 ...
-    (0.27, None, DESCENDING[::-1], FunctionZeroError),
-    # ... and both on r = 0.3 (min|f'| = 0.72 there at 2.05): p guard first
-    (0.75, None, DESCENDING[::-1], CriticalPointError),
-    (0.3, 1.9, DESCENDING, FunctionZeroError),  # q guard and pole at 2.9
+    # 2.2 has its pole on r = 0.9 only; the later 2.15 has one on r = 0.6
+    (None, 1.0, DESCENDING, PoleError),
+    # pole of 2.25 on r = 0.9; the pole of 2.15 on r = 0.3 comes first in
+    # the group, as would the p guard of 2.2 on r = 0.9
+    (0.24, 1.1, DESCENDING, PoleError),
+    # p guard of 2.25 on r = 0.9; pole of 2.15 on r = 0.6
+    (0.26, 1.0, DESCENDING, CriticalPointError),
+    # q guard of 2.9 on r = 0.3; the p guard of 2.15 on the same circle
+    # comes first in the group
+    (0.775, None, DESCENDING, FunctionZeroError),
 ]
 
 

@@ -159,6 +159,27 @@ def test_log_limit_continuity():
             assert abs(sd.eval_jet(h, z).f - sd.eval_jet(h0, z).f) <= 1e-4
 
 
+@pytest.mark.parametrize("offset", [1e-10, -1e-10, 1e-12, -1e-12])
+def test_power_form_near_the_log_limit_matches_mpmath(offset):
+    # 0 < |mu| < 4e-10 here; the log limit would be off by up to |mu| log(1000) / 2
+    mpmath = pytest.importorskip("mpmath")
+    beta = BETA_SINGULAR + offset
+    spec = sd.FamilySpec("ex2_pos", beta)
+    fh = sd.make_family(spec)
+    assert fh.kind == "power"
+    for z in 0.999 * np.exp(2j * np.pi * np.arange(16) / 16):
+        with mpmath.workdps(50):
+            b, u = mpmath.mpf(beta), 1 - mpmath.mpc(z)
+            mu = (-b * b + 2 * b + 1) / (b * (b + 1))
+            f = (1 - u**mu) / mu
+            q = (1 - u) * u ** (mu - 1) / f
+            p = 1 + (1 - u) * (1 - mu) / u
+        for got, ref in ((sd.eval_jet(fh, z).f, f), (sd.starlike_q(fh, z), q),
+                         (sd.convexity_p(fh, z), p), (sd.closed_form_q(spec, z), q),
+                         (sd.closed_form_p(spec, z), p)):
+            assert abs(got - complex(ref)) <= 1e-14 * abs(complex(ref)), (z, got, ref)
+
+
 def test_closed_form_q_limit_at_singular_beta():
     spec = sd.FamilySpec("ex2_pos", BETA_SINGULAR)
     fh = sd.make_family(spec)
