@@ -331,9 +331,9 @@ ROUNDS_TO_SMALL_Z = float(np.nextafter(analytic_core.SMALL_Z, 1.0))
     ((0.3, 0.6, 0.9), 512, [2.5], [1]),  # steps = 1
     ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [16, 7]),
     ((0.5, 0.9, 0.99), 4096, [2.1, 2.5, 2.9], [2, 1]),
+    ((1e-7, 0.5), 256, [2.1, 2.5], [1, 1]),  # |z| <= SMALL_Z: one beta at a time
     ((0.5, 0.9, 0.99), 8192, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta fills a pass
     ((0.5, 0.9, 0.99), 16384, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta > the budget
-    ((1e-7, 0.5), 256, [2.1, 2.5], [1, 1]),  # |z| <= SMALL_Z: one beta at a time
     ((ROUNDS_TO_SMALL_Z, 0.5), 256, [2.1, 2.5], [1, 1]),
 ])
 def test_sweep_block_edges(monkeypatch, radii, angles, betas, sizes):
@@ -363,16 +363,29 @@ def _outcome(call):
 # 1.00 at 2.2 and 1.06 / 0.98 / 0.93 at 2.15.  So raised tolerances make
 # the guards fire part way along a descending sweep.  The per-beta scan
 # checks the circles in order, p guard, q guard, then pole on each; a group
-# of 16 betas (2.9 down to 2.15) checks each circle for all of them first,
-# and each case below raises another error unless the group is replayed.
+# of 16 betas (2.9 down to 2.15) checks each circle for all of them first.
 DESCENDING = [2.9 - 0.05 * k for k in range(18)]  # groups 2.9-2.15, 2.1-2.05
-REPLAY_CASES = [
+# The guard fires at the beta in the comment.  Bar the fifth case, a group
+# pass meets the per-beta error first here as well.
+GUARD_CASES = [
     # (ZERO_TOL, POLE_TOL, betas, error the per-beta loop raises)
-    # 2.2 has its pole on r = 0.9 only; the later 2.15 has one on r = 0.6
-    (None, 1.0, DESCENDING, PoleError),
+    (0.24, None, DESCENDING, CriticalPointError),  # 2.2
+    (0.2925, None, DESCENDING, FunctionZeroError),  # 2.7
+    (None, 1.05, DESCENDING, PoleError),  # 2.2
+    (0.28, None, DESCENDING, FunctionZeroError),  # q guard 2.4, p guard 2.25
     # pole of 2.25 on r = 0.9; the pole of 2.15 on r = 0.3 comes first in
     # the group, as would the p guard of 2.2 on r = 0.9
     (0.24, 1.1, DESCENDING, PoleError),
+    # one beta: q guard on r = 0.3 before p guard on r = 0.9 ...
+    (0.27, None, DESCENDING[::-1], FunctionZeroError),
+    # ... and both on r = 0.3 (min|f'| = 0.72 there at 2.05): p guard first
+    (0.75, None, DESCENDING[::-1], CriticalPointError),
+    (0.3, 1.9, DESCENDING, FunctionZeroError),  # q guard and pole at 2.9
+]
+# Each of these raises another error unless the group is replayed.
+REPLAY_CASES = [
+    # 2.2 has its pole on r = 0.9 only; the later 2.15 has one on r = 0.6
+    (None, 1.0, DESCENDING, PoleError),
     # p guard of 2.25 on r = 0.9; pole of 2.15 on r = 0.6
     (0.26, 1.0, DESCENDING, CriticalPointError),
     # q guard of 2.9 on r = 0.3; the p guard of 2.15 on the same circle
@@ -381,7 +394,7 @@ REPLAY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("zero_tol, pole_tol, betas, error", REPLAY_CASES)
+@pytest.mark.parametrize("zero_tol, pole_tol, betas, error", GUARD_CASES + REPLAY_CASES)
 def test_sweep_replays_a_failed_block_with_the_per_beta_error(
         monkeypatch, small_grid, zero_tol, pole_tol, betas, error):
     if zero_tol is not None:
