@@ -92,6 +92,17 @@ CASES = {
     "plot_t1_ex1_high": [
         "plot", "--theorem", "1", "--family", "ex1_high", "--beta", "2",
         "--radii", "0.5,0.99", "--angles", "256", "--out", "{out}"],
+    # theorem 2: four curves against the half-plane line
+    "plot_t2_ex2_neg": [
+        "plot", "--theorem", "2", "--family", "ex2_neg", "--beta=-3",
+        "--radii", "0.3,0.7,0.95,0.999", "--angles", "1000", "--out", "{out}"],
+    # part of the curve leaves the window, so negative pixel coordinates are written
+    "plot_t1_koebe_window": [
+        "plot", "--theorem", "1", "--family", "builtin_koebe", "--beta", "2",
+        "--window=0.5:1.5:-0.5:0.5", "--out", "{out}"],
+    "plot_t1_ex1_low_odd_angles": [
+        "plot", "--theorem", "1", "--family", "ex1_low", "--beta", "1.5",
+        "--angles", "77", "--out", "{out}"],
 }
 
 
