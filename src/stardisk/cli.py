@@ -18,6 +18,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytic_core import (
     DEFAULT_ANGULAR_COUNT,
@@ -101,9 +103,14 @@ def _window_arg(text: str):
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"window must be x0:x1:y0:y1, got '{text}'")
     try:
-        return tuple(float(tok) for tok in parts)
+        x0, x1, y0, y1 = (float(tok) for tok in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad window '{text}'") from None
+    if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x0 < x1 and y0 < y1):
+        raise argparse.ArgumentTypeError(
+            f"window needs four finite numbers with x0 < x1 and y0 < y1 (got '{text}')"
+        )
+    return x0, x1, y0, y1
 
 
 def handle_from_name(name: str, beta: float | None) -> FunctionHandle:
@@ -315,7 +322,9 @@ def cmd_jack(args) -> int:
 def cmd_plot(args) -> int:
     handle = handle_from_name(args.family, args.beta)
     grid = SamplingGrid(args.radii, args.angles)
-    curves = [(f"r={r:g}", starlike_q(handle, grid.circle(r))) for r in grid.radii]
+    unit = np.exp(1j * grid.angles())
+    q = starlike_q(handle, np.array(grid.radii)[:, None] * unit)
+    curves = [(f"r={r:g}", row) for r, row in zip(grid.radii, q)]
     title = f"zf'/f image of {handle.label}, theorem {args.theorem}, beta={args.beta:g}"
     if args.theorem == 1:
         disk = target_disk(args.beta)

@@ -67,7 +67,7 @@ def monomial(n: int) -> SchwarzFunction:
 
 def blaschke(a) -> SchwarzFunction:
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:  # also rejects a NaN zero
         raise ParameterDomainError(f"Blaschke zero needs |a| < 1 (got |a| = {abs(a):g})")
     return SchwarzFunction(kind="blaschke", label=f"blaschke:{a.real:g}{a.imag:+g}j", a=a)
 

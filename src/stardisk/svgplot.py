@@ -3,6 +3,13 @@
 Output bytes are a pure function of the arguments: fixed 800x800 viewBox,
 inline styles, no external resources, coordinates formatted to a fixed
 number of decimals.
+
+A polyline is rendered array-wide: the pixel coordinates of the whole
+closed curve come from one numpy pass of the ``_Frame`` arithmetic, and
+its ``points`` attribute from one ``%``-format.  ``"%.3f" % x`` and
+``f"{x:.3f}"`` share CPython's float-to-string conversion, so the bytes
+equal those of formatting each vertex with ``_fmt``, including ``-0.000``,
+``nan`` and ``inf``.
 """
 
 from __future__ import annotations
@@ -74,9 +81,10 @@ def render_curves(title, curves, circle=None, vline=None, window=DEFAULT_WINDOW)
     for idx, (label, pts) in enumerate(curves):
         pts = np.asarray(pts, dtype=complex).ravel()
         closed = np.concatenate([pts, pts[:1]])
-        coords = " ".join(
-            f"{_fmt(fr.px(p.real))},{_fmt(fr.py(p.imag))}" for p in closed
-        )
+        xy = np.empty(2 * closed.size)
+        xy[0::2] = fr.px(closed.real)
+        xy[1::2] = fr.py(closed.imag)
+        coords = " ".join(["%.3f,%.3f"] * closed.size) % tuple(xy.tolist())
         color = PALETTE[idx % len(PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'

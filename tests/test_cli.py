@@ -305,6 +305,27 @@ def test_jack_non_finite_beta_exit_code(capsys):
               capsys, "-inf < beta < inf")
 
 
+def test_jack_nan_blaschke_zero_exit_code(tmp_path, capsys):
+    out = tmp_path / "j.txt"
+    _rejected(["jack", "--w", "blaschke:nan", "--r", "0.5", "--n", "256",
+               "--out", str(out)], capsys, "|a| < 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [
+    "1:0:0:1",     # x0 > x1
+    "0:nan:0:1",   # not a number
+    "-inf:1:0:1",  # would write nan coordinates
+    "0:inf:0:1",   # would give a degenerate plot
+])
+def test_plot_bad_window_exit_code(tmp_path, capsys, window):
+    out = tmp_path / "p.svg"
+    _rejected(["plot", "--theorem", "1", "--family", "ex1_high", "--beta", "2",
+               "--radii", "0.9", "--angles", "64", f"--window={window}",
+               "--out", str(out)], capsys, "finite numbers with x0 < x1 and y0 < y1")
+    assert not out.exists()
+
+
 def test_sweep_non_finite_beta_exit_code(tmp_path, capsys):
     out = tmp_path / "s.csv"
     _rejected(["sweep", "--theorem", "2", "--family", "ex2_pos", "--beta-min", "2",

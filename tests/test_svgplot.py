@@ -1,0 +1,70 @@
+"""The array-wide polyline formatter of svgplot against a per-vertex reference."""
+
+import re
+
+import numpy as np
+import pytest
+
+from stardisk.svgplot import DEFAULT_WINDOW, SIZE, render_curves
+
+WINDOWS = [DEFAULT_WINDOW, (0.0, 1.0, -0.5, 0.5), (-1e3, 2e3, 1e-3, 2e-3)]
+
+
+def reference_points(pts, window):
+    """The points attribute written one vertex at a time, closed on the first."""
+    x0, x1, y0, y1 = (float(v) for v in window)
+    sx, sy = SIZE / (x1 - x0), SIZE / (y1 - y0)
+    closed = [complex(p) for p in pts] + [complex(pts[0])]
+    return " ".join(
+        f"{(p.real - x0) * sx:.3f},{SIZE - (p.imag - y0) * sy:.3f}" for p in closed
+    )
+
+
+def polyline_points(svg):
+    return re.findall(r'<polyline [^>]* points="([^"]*)"/>', svg)
+
+
+def seeded_curves(seed, n=5000):
+    rng = np.random.default_rng(seed)
+
+    def signed_magnitudes():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+
+    return [signed_magnitudes() + 1j * signed_magnitudes() for _ in range(3)]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_points_match_reference(seed, window):
+    curves = seeded_curves(seed)
+    svg = render_curves("t", [(f"c{i}", pts) for i, pts in enumerate(curves)],
+                        window=window)
+    got = polyline_points(svg)
+    assert got == [reference_points(pts, window) for pts in curves]
+
+
+def test_signed_zeros_and_non_finite_values_match_reference():
+    window = (0.0, 1.0, -0.5, 0.5)
+    pts = np.array([
+        complex(-0.0, 0.0),      # x pixel -0.0
+        complex(-1e-7, 0.0),     # x pixel rounds to -0.000
+        complex(0.5, 0.5000001),  # y pixel rounds to -0.000
+        complex(np.nan, 0.25),
+        complex(0.25, np.nan),
+        complex(np.inf, -np.inf),
+        complex(-np.inf, np.inf),
+        complex(1e6, -1e-6),
+    ])
+    got = polyline_points(render_curves("t", [("c", pts)], window=window))
+    assert got == [reference_points(pts, window)]
+    assert got[0].split()[:3] == ["-0.000,400.000", "-0.000,400.000", "400.000,-0.000"]
+    for token in ("nan", "inf", "-inf"):
+        assert token in got[0]
+
+
+def test_curve_shapes_and_single_point():
+    # 2-D input is flattened, and a one-point curve closes on itself
+    grid = np.arange(12.0).reshape(3, 4) * (0.1 + 0.05j)
+    got = polyline_points(render_curves("t", [("g", grid), ("p", [0.5 + 0.5j])]))
+    assert got == [reference_points(grid.ravel(), DEFAULT_WINDOW),
+                   reference_points([0.5 + 0.5j], DEFAULT_WINDOW)]
