@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -99,25 +100,17 @@ def _tol_arg(text: str) -> float:
 
 
 def _window_arg(text: str):
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"window must be x0:x1:y0:y1, got '{text}'")
+    # four floats; svgplot checks that they make a window
     try:
-        x0, x1, y0, y1 = (float(tok) for tok in parts)
+        x0, x1, y0, y1 = map(float, text.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad window '{text}'") from None
-    if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x0 < x1 and y0 < y1):
-        raise argparse.ArgumentTypeError(
-            f"window needs four finite numbers with x0 < x1 and y0 < y1 (got '{text}')"
-        )
+        raise argparse.ArgumentTypeError(f"window must be x0:x1:y0:y1, got '{text}'") from None
     return x0, x1, y0, y1
 
 
 def handle_from_name(name: str, beta: float | None) -> FunctionHandle:
     """Resolve a --family value (parametric id with beta, or builtin name)."""
-    if name in PARAMETRIC_FAMILIES:
-        return make_family(FamilySpec(name, beta))
-    return make_family(FamilySpec(name))
+    return make_family(FamilySpec(name, beta if name in PARAMETRIC_FAMILIES else None))
 
 
 def schwarz_from_spec(spec: str):
@@ -133,8 +126,7 @@ def schwarz_from_spec(spec: str):
             theorem = int(parts[1][1])
             family = ":".join(parts[2:-1])
             beta = float(parts[-1])
-            handle = handle_from_name(family, beta if family in PARAMETRIC_FAMILIES else None)
-            return jack_mod.induced(theorem, handle, beta)
+            return jack_mod.induced(theorem, handle_from_name(family, beta), beta)
     except ParameterDomainError:
         raise
     except (ValueError, TypeError):
@@ -150,10 +142,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     path = Path(out)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        # what open(path, "w") would give: umask has no getter, so set it back
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        path.write_text(text)  # a FIFO or a device: write through it, never rename over it
+        return
     parent = str(path.parent) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fp:
+            os.fchmod(fp.fileno(), stat.S_IMODE(mode))
             fp.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -179,7 +182,7 @@ def _hypothesis_json(hyp):
     }
 
 
-def _conclusion_json(con, theorem: int):
+def _conclusion_json(con):
     per = []
     for row in con.per_radius:
         entry = {
@@ -187,7 +190,7 @@ def _conclusion_json(con, theorem: int):
             "max_abs_w": row.max_abs_w,
             "schwarz_ratio": row.schwarz_ratio,
         }
-        if theorem == 1:
+        if row.disk_slack is not None:
             entry["disk_slack"] = row.disk_slack
         entry["min_re_q"] = row.min_re_q
         per.append(entry)
@@ -198,12 +201,12 @@ def _conclusion_json(con, theorem: int):
     }
 
 
-def _conclusion_ok(con, theorem: int, schwarz_tol: float) -> bool:
+def _conclusion_ok(con, schwarz_tol: float) -> bool:
     ok = abs(con.w_origin) <= 1e-10
     for row in con.per_radius:
         ok = ok and row.max_abs_w < 1.0
         ok = ok and row.schwarz_ratio <= 1.0 + schwarz_tol
-        if theorem == 1:
+        if row.disk_slack is not None:
             ok = ok and row.disk_slack > 0.0
     return ok
 
@@ -215,7 +218,7 @@ def cmd_verify(args) -> int:
     runner = run_t1 if args.theorem == 1 else run_t2
     hyp, con = runner(handle, args.beta, grid, threads=args.threads)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
-    passed = hyp.satisfied and _conclusion_ok(con, args.theorem, args.schwarz_tol)
+    passed = hyp.satisfied and _conclusion_ok(con, args.schwarz_tol)
     envelope = {
         "version": __version__,
         # threads is an execution knob that must not influence the report,
@@ -230,7 +233,7 @@ def cmd_verify(args) -> int:
             "schwarz_tol": args.schwarz_tol,
         },
         "hypothesis": _hypothesis_json(hyp),
-        "conclusion": _conclusion_json(con, args.theorem),
+        "conclusion": _conclusion_json(con),
         "pass": passed,
         "duration_ms": elapsed_ms if args.timing else 0.0,
     }
@@ -263,19 +266,10 @@ def cmd_sweep(args) -> int:
     handles = [handle_from_name(args.family, b) for b in betas]
     lines = [CSV_HEADER]
     for b, (hyp, con) in zip(betas, run_sweep(handles, betas, grid, args.theorem)):
-        last = con.per_radius[-1]
-        lines.append(
-            ",".join(
-                (
-                    _f(b),
-                    _f(hyp.bound),
-                    _f(hyp.per_radius[-1].extreme),
-                    _f(hyp.margin_at_rmax),
-                    _f(last.max_abs_w),
-                    _f(con.order_estimate),
-                )
-            )
-        )
+        lines.append(",".join(map(_f, (
+            b, hyp.bound, hyp.per_radius[-1].extreme, hyp.margin_at_rmax,
+            con.per_radius[-1].max_abs_w, con.order_estimate,
+        ))))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -322,21 +316,19 @@ def cmd_jack(args) -> int:
 def cmd_plot(args) -> int:
     handle = handle_from_name(args.family, args.beta)
     grid = SamplingGrid(args.radii, args.angles)
+    # the beta domain checks: the target disk's, then the theorem's
+    if args.theorem == 1:
+        disk = target_disk(args.beta)
+        t1_bound(args.beta)
+        region = {"circle": (disk.center, disk.radius)}
+    else:
+        t2_bound(args.beta)
+        region = {"vline": (args.beta + 1.0) / (2.0 * args.beta)}
     unit = np.exp(1j * grid.angles())
     q = starlike_q(handle, np.array(grid.radii)[:, None] * unit)
     curves = [(f"r={r:g}", row) for r, row in zip(grid.radii, q)]
     title = f"zf'/f image of {handle.label}, theorem {args.theorem}, beta={args.beta:g}"
-    if args.theorem == 1:
-        disk = target_disk(args.beta)
-        svg = render_curves(
-            title, curves, circle=(disk.center, disk.radius), window=args.window
-        )
-    else:
-        t2_bound(args.beta)  # beta domain check
-        svg = render_curves(
-            title, curves, vline=(args.beta + 1.0) / (2.0 * args.beta), window=args.window
-        )
-    _emit(svg, args.out)
+    _emit(render_curves(title, curves, window=args.window, **region), args.out)
     return 0
 
 

@@ -37,7 +37,7 @@ from .search import golden_max, golden_min, refine_extremum
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
 T2_BETA_MAX = 1e150
 # Grid points (betas x angles) of one array pass over one circle when _run
-# scans a run of power handles together.  Passes of 2**16 points were no
+# scans a block of power handles together.  Passes of 2**16 points were no
 # faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
 
@@ -131,55 +131,41 @@ def _reduce(theorem, beta, z, q, p, w):
     """Reductions over the last (angle) axis of z, q = z f'/f, p = 1 + z f''/f'
     and w: the extreme of Re p (max for theorem 1, min for theorem 2) and
     its grid point, max|w|, min Re q and, for theorem 1, the slack of the
-    target disk (None for theorem 2).  beta broadcasts against q."""
+    target disk (None entries for theorem 2).  beta broadcasts against q."""
     re_p = p.real
     i = (np.argmax if theorem == 1 else np.argmin)(re_p, axis=-1, keepdims=True)
     extreme = np.take_along_axis(re_p, i, axis=-1)[..., 0]
     witness = np.take_along_axis(np.broadcast_to(z, p.shape), i, axis=-1)[..., 0]
-    slack = None
     if theorem == 1:
         c = beta / (beta + 1.0)
         slack = (c - np.abs(q - c).max(axis=-1, keepdims=True))[..., 0]
+    else:
+        slack = np.full(extreme.shape, None)
     return extreme, witness, np.abs(w).max(axis=-1), q.real.min(axis=-1), slack
 
 
 def _reports(theorem, radii, bound, w0, extreme, witness, max_abs_w, min_re_q, slack):
-    """The (HypothesisReport, ConclusionReport) of one beta from the
-    per-radius reductions of _reduce."""
-    extreme = [float(e) for e in extreme]
+    """The (HypothesisReport, ConclusionReport) of one beta from its
+    per-radius reductions of _reduce, as lists of Python scalars."""
     if theorem == 1:
         satisfied = all(e < bound for e in extreme)
         margin = bound - extreme[-1]
     else:
         satisfied = all(e > bound for e in extreme)
         margin = extreme[-1] - bound
-    hyp = HypothesisReport(
-        bound=bound,
-        per_radius=tuple(
-            RadiusHypothesis(r, e, complex(x)) for r, e, x in zip(radii, extreme, witness)
-        ),
-        satisfied=satisfied,
-        margin_at_rmax=margin,
+    hyp = HypothesisReport(bound, tuple(map(RadiusHypothesis, radii, extreme, witness)),
+                           satisfied, margin)
+    rows = tuple(
+        RadiusConclusion(r, m, m / r, q, s)
+        for r, m, q, s in zip(radii, max_abs_w, min_re_q, slack)
     )
-    rows = []
-    for k, r in enumerate(radii):
-        m = float(max_abs_w[k])
-        rows.append(RadiusConclusion(
-            r=r,
-            max_abs_w=m,
-            schwarz_ratio=m / r,
-            min_re_q=float(min_re_q[k]),
-            disk_slack=float(slack[k]) if theorem == 1 else None,
-        ))
-    con = ConclusionReport(
-        per_radius=tuple(rows), order_estimate=rows[-1].min_re_q, w_origin=w0
-    )
+    con = ConclusionReport(per_radius=rows, order_estimate=rows[-1].min_re_q, w_origin=w0)
     return hyp, con
 
 
 def _scan(theorem, handles, betas, z, lg):
     """The _reduce results of the handles at their betas on one circle z:
-    one handle through functionals, or a run of power handles as one
+    one handle through functionals, or a block of power handles as one
     (betas x angles) array pass over lg = Log(1 - z) through the same
     formulas and guards.  The power pass has no small-z patch, so z must
     keep |z| > SMALL_Z."""
@@ -197,37 +183,31 @@ def _scan(theorem, handles, betas, z, lg):
     return _reduce(theorem, b, z, q, p, invert(b, q))
 
 
-def _run(handles, betas, grid, theorem, bounds, threads=1):
-    """The report pairs of the handles at their betas and bounds, equal to
-    one run per beta.
+def _run(handles, betas, grid, theorem, threads=1):
+    """The report pairs of the handles at their betas, equal to one run per
+    beta.  Every bound is computed before any work.
 
-    The betas are split into groups: a run of consecutive power handles,
-    at most SWEEP_BLOCK_POINTS // angular_count of them, when every grid
-    point has |z| > SMALL_Z, or else a single beta.  Each group is scanned
-    circle by circle, on a thread pool over the radii when threads > 1;
-    pool.map keeps their order, so the reports do not depend on the worker
-    count.  Log(1 - z) is computed once, and only when a group holds
-    several betas.  Such a group is replayed beta by beta when a guard
-    fires, so the first error is that of the per-beta loop.
+    When every handle is power-form and every grid point has |z| > SMALL_Z,
+    the betas are scanned in blocks of SWEEP_BLOCK_POINTS // angular_count,
+    else one at a time.  Each block is scanned circle by circle, on a
+    thread pool over the radii when threads > 1; pool.map keeps their
+    order, so the reports do not depend on the worker count.  Log(1 - z)
+    is computed once, and only when a block holds several betas.  Such a
+    block is replayed beta by beta when a guard fires, so the first error
+    is that of the per-beta loop.
     """
+    bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
     unit = np.exp(1j * grid.angles())
-    per_group = SWEEP_BLOCK_POINTS // grid.angular_count
+    block = SWEEP_BLOCK_POINTS // grid.angular_count
     # |r e^{i theta}| can round below r, so the test is on the points
-    if len(handles) < 2 or np.abs(grid.radii[0] * unit).min() <= SMALL_Z:
-        per_group = 1
-    groups = []
-    for k, fh in enumerate(handles):
-        if (fh.kind == "power" and groups and len(groups[-1]) < per_group
-                and handles[groups[-1][-1]].kind == "power"):
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    several = any(len(ks) > 1 for ks in groups)
-    lg = log_one_minus(np.asarray(grid.radii)[:, None] * unit) if several else None
+    if (len(handles) < 2 or block < 2 or any(fh.kind != "power" for fh in handles)
+            or np.abs(grid.radii[0] * unit).min() <= SMALL_Z):
+        block = 1
+    lg = log_one_minus(np.asarray(grid.radii)[:, None] * unit) if block > 1 else None
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     out = []
-    for ks in groups:
-        hs, bs = [handles[k] for k in ks], [betas[k] for k in ks]
+    for lo in range(0, len(handles), block):
+        hs, bs = handles[lo:lo + block], betas[lo:lo + block]
 
         def scan(i):
             return _scan(theorem, hs, bs, grid.radii[i] * unit, None if lg is None else lg[i])
@@ -242,16 +222,15 @@ def _run(handles, betas, grid, theorem, bounds, threads=1):
             # w(0) needs no jet; the check still raises the pole of beta -> 1.
             w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
         except (CriticalPointError, FunctionZeroError, PoleError):
-            if len(ks) == 1:
+            if len(hs) == 1:
                 raise
-            for k in ks:
-                out += _run(handles[k:k + 1], betas[k:k + 1], grid, theorem,
-                            bounds[k:k + 1], threads)
+            for fh, b in zip(hs, bs):
+                out += _run([fh], [b], grid, theorem, threads)
             continue
-        for j, k in enumerate(ks):
-            # the per-radius reductions of beta j (a slack of None stays None)
-            cols = [[None if a is None else a[j] for a in col] for col in zip(*rows)]
-            out.append(_reports(theorem, grid.radii, bounds[k], complex(w0[j]), *cols))
+        # each reduction as a (betas x radii) list of Python scalars
+        cols = [np.array(col).T.tolist() for col in zip(*rows)]
+        for j, w in enumerate(w0.tolist()):
+            out.append(_reports(theorem, grid.radii, bounds[lo + j], w, *(c[j] for c in cols)))
     return out
 
 
@@ -259,12 +238,11 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     """[run_t1 or run_t2 (by theorem) at (handle, beta)] for each pair of
     handles and betas, equal to the per-beta calls, on one thread.
 
-    Every bound is checked before any work.  _run scans runs of consecutive
-    power handles together, one array pass per circle, and nothing is
-    returned before every beta is done.
+    Every bound is checked before any work.  _run scans blocks of power
+    handles together, one array pass per circle, and nothing is returned
+    before every beta is done.
     """
-    bound_of = t1_bound if theorem == 1 else t2_bound
-    return _run(handles, betas, grid, theorem, [bound_of(b) for b in betas])
+    return _run(handles, betas, grid, theorem)
 
 
 def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
@@ -272,14 +250,14 @@ def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1
     (w = mobius_invert_t1(beta, z f'/f) a Schwarz function; q inside the
     target disk) on the grid.  Returns (HypothesisReport, ConclusionReport).
     """
-    return _run([fh], [beta], grid, 1, [t1_bound(beta)], threads)[0]
+    return _run([fh], [beta], grid, 1, threads)[0]
 
 
 def run_t2(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
     """Check the theorem-2 hypothesis (Re p above t2_bound) and conclusion
     (w = mobius_invert_t2(beta, z f'/f) a Schwarz function; starlikeness
     order target (beta+1)/(2 beta))."""
-    return _run([fh], [beta], grid, 2, [t2_bound(beta)], threads)[0]
+    return _run([fh], [beta], grid, 2, threads)[0]
 
 
 def order_of_starlikeness(fh: FunctionHandle, grid: SamplingGrid) -> float:

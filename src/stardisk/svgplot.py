@@ -9,8 +9,9 @@ closed curve come from one numpy pass of the ``_Frame`` arithmetic, and
 its ``points`` attribute from one ``%``-format.  ``"%.3f" % x`` and
 ``f"{x:.3f}"`` share CPython's float-to-string conversion, so the bytes
 equal those of formatting each vertex with ``_fmt``, including ``-0.000``.
-No nan or inf is ever written: a window whose pixel scale is not finite,
-or a pixel coordinate that is not, raises ``ParameterDomainError``.
+No nan or inf is ever written: a window that is empty or not finite, one
+whose pixel scale is not finite, or a pixel coordinate that is not, raises
+``ParameterDomainError``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ def _fmt(x: float) -> str:
 
 class _Frame:
     def __init__(self, window):
-        self.x0, self.x1, self.y0, self.y1 = (float(v) for v in window)
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError(f"window must have positive extent, got {window}")
+        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1 = tuple(map(float, window))
+        if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x0 < x1 and y0 < y1):
+            raise ParameterDomainError(
+                "window needs four finite numbers with x0 < x1 and y0 < y1 "
+                f"(got '{x0!r}:{x1!r}:{y0!r}:{y1!r}')"
+            )
         self.sx = SIZE / (self.x1 - self.x0)
         self.sy = SIZE / (self.y1 - self.y0)
         if not (math.isfinite(self.sx) and math.isfinite(self.sy)):

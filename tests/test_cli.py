@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -298,6 +300,14 @@ def test_plot_non_finite_beta_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["3", "5"])
+def test_plot_theorem_1_beta_outside_its_interval_exit_code(tmp_path, capsys, beta):
+    out = tmp_path / "p.svg"
+    _rejected(["plot", "--theorem", "1", "--family", "ex2_pos", "--beta", beta,
+               "--radii", "0.9", "--angles", "64", "--out", str(out)], capsys, "1 < beta < 3")
+    assert not out.exists()
+
+
 def test_jack_non_finite_beta_exit_code(capsys):
     _rejected(["jack", "--w", "induced:t2:ex2_pos:inf", "--r", "0.9"], capsys,
               "beta > 1")
@@ -410,6 +420,52 @@ def test_tolerance_outside_its_interval_exit_code(capsys, argv, tol):
     assert run_cli(argv[:-1] + [f"{argv[-1]}={tol}"]) == 2
     assert f"{argv[-1]}: must be a finite number in [0, inf) (got '{tol}')" in \
         capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- --out targets
+
+JACK = ["jack", "--w", "monomial:3", "--r", "0.9", "--n", "256"]
+
+
+def test_out_onto_a_fifo_writes_through_it(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so that a writer that never opens the FIFO fails the test
+    # instead of hanging it
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(JACK + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+    assert run_cli(JACK) == 0
+    assert got == [capsys.readouterr().out.encode()]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_a_new_report_gets_the_mode_that_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "sibling", "w"):
+            pass
+        assert run_cli(JACK + ["--out", str(tmp_path / "j.txt")]) == 0
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("sibling", "j.txt")]
+    assert modes == [0o666 & ~umask] * 2
+
+
+def test_an_overwritten_report_keeps_its_mode_and_is_renamed_into_place(tmp_path):
+    out = tmp_path / "j.txt"
+    out.write_text("old")
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    assert run_cli(JACK + ["--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.stat().st_ino != inode  # a new file, renamed over the old one
+    assert out.read_text().startswith("w monomial")
+    assert os.listdir(tmp_path) == ["j.txt"]
 
 
 # ------------------------------------------------------ python -m entry points

@@ -360,7 +360,8 @@ SWEEP_CASES = {
     "ex2_pos": (2, _steps(1.2, 6.0, 23)),
     "ex2_neg": (2, _steps(-6.0, -1.0, 23)),
     "builtin_quadratic": (1, _steps(1.5, 2.5, 4)),
-    # power, log (mu ~ 0), power, power: the log point splits the blocks
+    # power, log (mu ~ 0), power, power: the log point makes every beta
+    # a block of its own
     "ex2_pos_mixed": (2, [2.3, LOG_POINT, 2.5, 2.6]),
 }
 
@@ -412,10 +413,12 @@ def test_sweep_block_edges(monkeypatch, radii, angles, betas, sizes):
 
 
 def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
+    # blocks are cut only from an all-power list; one other kind scans
+    # every beta on its own
     betas = [2.3, 2.35, LOG_POINT, 2.5, 2.6]
     handles = _handles("ex2_pos", betas)
     assert [fh.kind for fh in handles] == ["power", "power", "log", "power", "power"]
-    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [2, 1, 2]
+    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [1, 1, 1, 1, 1]
 
 
 def _outcome(call):

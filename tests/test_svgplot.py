@@ -1,5 +1,6 @@
 """The array-wide polyline formatter of svgplot against a per-vertex reference."""
 
+import math
 import re
 
 import numpy as np
@@ -84,3 +85,13 @@ def test_overflowing_window_raises_instead_of_writing_inf():
     ):
         with pytest.raises(ParameterDomainError, match="every pixel coordinate must be finite"):
             render_curves("t", window=narrow, **bad)
+
+
+@pytest.mark.parametrize("window", [
+    (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.5, 0.5), (0.0, math.nan, 0.0, 1.0),
+    (-math.inf, 1.0, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0),
+], ids=["x0>x1", "y0=y1", "nan", "-inf", "inf"])
+def test_empty_or_non_finite_window_raises(window):
+    with pytest.raises(ParameterDomainError,
+                       match="four finite numbers with x0 < x1 and y0 < y1"):
+        render_curves("t", [("c", [0.5 + 0.25j])], window=window)
