@@ -116,6 +116,20 @@ def test_verify_json_schema(tmp_path):
     assert con["w_origin_abs"] <= 1e-10
 
 
+def test_verify_timing_records_only_the_duration(tmp_path):
+    argv = ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5"] + FAST
+    reports = []
+    for extra in ([], ["--timing"]):
+        out = tmp_path / f"report{len(extra)}.json"
+        assert run_cli(argv + extra + ["--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    plain, timed = reports
+    assert plain["duration_ms"] == 0.0
+    assert timed.pop("duration_ms") > 0.0
+    plain.pop("duration_ms")
+    assert timed == plain
+
+
 def test_verify_theorem2_schema_has_no_disk_slack(tmp_path):
     out = tmp_path / "report.json"
     run_cli(["verify", "--theorem", "2", "--family", "ex2_neg", "--beta", "-2",

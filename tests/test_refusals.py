@@ -1,0 +1,163 @@
+"""Every library refusal, pinned by exception type and exact message.
+
+The family-spec table runs each spec through make_family and through both
+closed forms; the guard table covers the off-disk, zero, critical-point and
+Mobius-pole checks on scalar, 0-d and array input, where the message names
+the first offending entry in row-major order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import stardisk as sd
+from stardisk.errors import (
+    CriticalPointError,
+    DiskDomainError,
+    FunctionZeroError,
+    ParameterDomainError,
+    PoleError,
+)
+
+UNKNOWN = (
+    "unknown family '{}'; expected one of ('ex1_high', 'ex1_low', 'ex2_pos', "
+    "'ex2_neg', 'builtin_koebe', 'builtin_halfplane', 'builtin_quadratic', "
+    "'builtin_monomial')"
+)
+PARAMETRIC_ONLY = "closed forms exist for the parametric families only (got '{}')"
+NO_BETA = "builtin {} takes no beta"
+
+# (family id, beta, make_family's message or None if it builds, the closed
+# forms' message); every refusal is a ParameterDomainError
+SPEC_REFUSALS = [
+    ("no_such_family", None, UNKNOWN, UNKNOWN),
+    ("no_such_family", 2.0, UNKNOWN, UNKNOWN),
+    ("builtin", None, UNKNOWN, UNKNOWN),
+    ("ex1_high:2", None, UNKNOWN, UNKNOWN),
+    ("builtin_koebe:3", None, "unknown builtin '{}'", PARAMETRIC_ONLY),
+    ("builtin_halfplane:1", None, "unknown builtin '{}'", PARAMETRIC_ONLY),
+    ("builtin_monomial:x", None, "bad monomial order in '{}'", PARAMETRIC_ONLY),
+    ("builtin_monomial:0", None, "monomial order must be in 1..64 (got 0)", PARAMETRIC_ONLY),
+    ("builtin_monomial:65", None, "monomial order must be in 1..64 (got 65)", PARAMETRIC_ONLY),
+    ("builtin_monomial:-1", None, "monomial order must be in 1..64 (got -1)", PARAMETRIC_ONLY),
+    ("builtin_koebe", None, None, PARAMETRIC_ONLY),
+    ("builtin_monomial", None, None, PARAMETRIC_ONLY),
+    ("builtin_monomial:3", None, None, PARAMETRIC_ONLY),
+    ("builtin_koebe", 2.0, NO_BETA, NO_BETA),
+    ("builtin_quadratic", math.nan, NO_BETA, NO_BETA),
+    ("builtin_koebe:3", 2.0, NO_BETA, NO_BETA),
+    ("builtin_monomial:x", 1.0, NO_BETA, NO_BETA),
+    ("builtin_monomial:3", 2.0, NO_BETA, NO_BETA),
+    ("ex1_high", None, "family ex1_high needs beta in 2 <= beta < 3", None),
+    ("ex1_low", None, "family ex1_low needs beta in 1 < beta <= 2", None),
+    ("ex2_pos", None, "family ex2_pos needs beta in beta > 1", None),
+    ("ex2_neg", None, "family ex2_neg needs beta in beta <= -1", None),
+    ("ex1_high", 3.0, "family ex1_high needs 2 <= beta < 3 (got beta = 3)", None),
+    ("ex1_high", 1.999, "family ex1_high needs 2 <= beta < 3 (got beta = 1.999)", None),
+    ("ex1_low", 1.0, "family ex1_low needs 1 < beta <= 2 (got beta = 1)", None),
+    ("ex1_low", 2.5, "family ex1_low needs 1 < beta <= 2 (got beta = 2.5)", None),
+    ("ex2_pos", 1.0, "family ex2_pos needs beta > 1 (got beta = 1)", None),
+    ("ex2_pos", -2.0, "family ex2_pos needs beta > 1 (got beta = -2)", None),
+    ("ex2_neg", -0.5, "family ex2_neg needs beta <= -1 (got beta = -0.5)", None),
+    ("ex2_neg", 2.0, "family ex2_neg needs beta <= -1 (got beta = 2)", None),
+    ("ex2_pos", 1e300, "family ex2_pos needs beta > 1 with a finite exponent mu "
+     "(got beta = 1e+300, mu = nan)", None),
+    ("ex2_pos", 1e155, "family ex2_pos needs beta > 1 with a finite exponent mu "
+     "(got beta = 1e+155, mu = nan)", None),
+    ("ex2_neg", -1e300, "family ex2_neg needs beta <= -1 with a finite exponent mu "
+     "(got beta = -1e+300, mu = nan)", None),
+] + [
+    (family, beta, f"family {family} needs {interval} (got beta = {beta:g})", None)
+    for family, interval in (("ex1_high", "2 <= beta < 3"), ("ex1_low", "1 < beta <= 2"),
+                             ("ex2_pos", "beta > 1"), ("ex2_neg", "beta <= -1"))
+    for beta in (math.nan, math.inf, -math.inf)
+]
+
+
+def _spec_cases():
+    for family, beta, made, closed in SPEC_REFUSALS:
+        # a parametric refusal reads the same through every entry point
+        closed = made if closed is None else closed
+        for op, message in (("make_family", made), ("closed_form_q", closed),
+                            ("closed_form_p", closed)):
+            if message is not None:
+                yield pytest.param(op, family, beta, message.format(family),
+                                   id=f"{op}-{family}-{beta}")
+
+
+@pytest.mark.parametrize("op, family, beta, message", list(_spec_cases()))
+def test_family_spec_refusal(op, family, beta, message):
+    spec = sd.FamilySpec(family, beta)
+    args = (spec,) if op == "make_family" else (spec, 0.5)
+    with pytest.raises(ParameterDomainError) as err:
+        getattr(sd, op)(*args)
+    assert str(err.value) == message
+
+
+OFF_DISK = "|z| >= 1 at z = {}; handles live on the open disk"
+ZERO = "f has a zero inside the disk at z = (0.2+0j); z f'/f is singular there and f cannot be starlike"
+CRITICAL = "f has a critical point at z = (0.1+0j); 1 + z f''/f' is singular there"
+# f = z - 5 z^2: f' vanishes at z = 0.1, f at z = 0.2
+ZERO_AT_02 = sd.series((-5.0,))
+
+GUARD_REFUSALS = [
+    ("eval_jet", sd.koebe(), 1.5, DiskDomainError, OFF_DISK.format("(1.5+0j)")),
+    ("eval_jet", sd.koebe(), -1.0, DiskDomainError, OFF_DISK.format("(-1+0j)")),
+    ("eval_jet", sd.koebe(), 0.6 + 0.8j, DiskDomainError, OFF_DISK.format("(0.6+0.8j)")),
+    ("eval_jet", sd.koebe(), np.asarray(1.2 + 0.1j), DiskDomainError,
+     OFF_DISK.format("(1.2+0.1j)")),
+    ("eval_jet", sd.koebe(), np.array([0.1, 1.0, 2.0]), DiskDomainError,
+     OFF_DISK.format("(1+0j)")),
+    ("eval_jet", sd.koebe(), np.array([[0.1, 0.2], [0.3j, -1.5], [2.0, 0.0]]),
+     DiskDomainError, OFF_DISK.format("(-1.5+0j)")),
+    ("eval_jet", sd.koebe(), np.array([0.1, np.nan]), DiskDomainError,
+     "evaluation points must be finite"),
+    ("eval_jet", sd.koebe(), complex("inf"), DiskDomainError,
+     "evaluation points must be finite"),
+    ("starlike_q", sd.koebe(), np.array([0.5, 1.0]), DiskDomainError,
+     OFF_DISK.format("(1+0j)")),
+    ("functionals", sd.koebe(), np.array([0.5, 1.0]), DiskDomainError,
+     OFF_DISK.format("(1+0j)")),
+    ("starlike_q", ZERO_AT_02, 0.2, FunctionZeroError, ZERO),
+    ("starlike_q", ZERO_AT_02, np.asarray(0.2), FunctionZeroError, ZERO),
+    ("starlike_q", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), FunctionZeroError, ZERO),
+    ("starlike_q", ZERO_AT_02, np.array([[0.0, 0.3], [0.2, 0.1]]), FunctionZeroError, ZERO),
+    ("convexity_p", ZERO_AT_02, 0.1, CriticalPointError, CRITICAL),
+    ("convexity_p", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), CriticalPointError, CRITICAL),
+    ("convexity_p", ZERO_AT_02, np.array([[0.0, 0.3], [0.2, 0.1]]), CriticalPointError,
+     CRITICAL),
+    ("functionals", ZERO_AT_02, 0.1, CriticalPointError, CRITICAL),
+    ("functionals", ZERO_AT_02, 0.2, FunctionZeroError, ZERO),
+    ("functionals", ZERO_AT_02, np.asarray(0.2), FunctionZeroError, ZERO),
+    ("functionals", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), CriticalPointError, CRITICAL),
+    ("functionals", ZERO_AT_02, np.array([[0.0, 0.3], [0.2, 0.1]]), CriticalPointError,
+     CRITICAL),
+    ("mobius_target", 0.5, 0.5, PoleError, "z = beta = 0.5 is the pole of the target map"),
+    ("mobius_target", 0.0, 0.3, ParameterDomainError, "the target map needs beta != 0"),
+    ("mobius_target", 2.5, np.array([0.1, 2.5]), PoleError,
+     "z = beta = 2.5 is the pole of the target map"),
+    ("mobius_invert_t1", 2.0, 2.0, PoleError, "q = beta = 2 is the pole of the inverse map"),
+    ("mobius_invert_t1", 1.5, np.array([0.3, 1.5 + 1e-14]), PoleError,
+     "q = beta = 1.5 is the pole of the inverse map"),
+    ("mobius_invert_t1", np.array([[1.5], [2.5]]), np.array([2.5, 1.5]), PoleError,
+     "q = beta = 1.5 is the pole of the inverse map"),
+    ("mobius_invert_t1", np.float64(2.0), np.asarray(2.0), PoleError,
+     "q = beta = 2 is the pole of the inverse map"),
+    ("mobius_invert_t2", 2.0, 0.5, PoleError,
+     "beta * q = 1 (beta = 2) is the pole of the inverse map"),
+    ("mobius_invert_t2", np.array([3.0, 2.0, 4.0])[:, None],
+     np.array([[0.1, 0.2], [0.3, 0.5], [0.25, 0.1]]), PoleError,
+     "beta * q = 1 (beta = 2) is the pole of the inverse map"),
+    ("mobius_invert_t2", np.array([2.0, 4.0]), np.array([0.3, 0.25]), PoleError,
+     "beta * q = 1 (beta = 4) is the pole of the inverse map"),
+]
+
+
+@pytest.mark.parametrize("op, first, second, error, message", GUARD_REFUSALS,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(GUARD_REFUSALS)])
+def test_guard_refusal(op, first, second, error, message):
+    with pytest.raises(error) as err:
+        getattr(sd, op)(first, second)
+    assert type(err.value) is error
+    assert str(err.value) == message
