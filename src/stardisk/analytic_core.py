@@ -137,12 +137,19 @@ def log_one_minus(z):
     return out
 
 
+def _refuse(mask, values, error, message, cast=complex):
+    """Raise error(message.format(v)) where mask holds anywhere: v is the
+    first such entry of values, broadcast to the shape of mask, in row-major
+    order, passed through cast."""
+    if np.any(mask):
+        raise error(message.format(cast(np.broadcast_to(values, np.shape(mask))[mask][0])))
+
+
 def _require_in_disk(arr):
     if not np.all(np.isfinite(arr)):
         raise DiskDomainError("evaluation points must be finite")
-    if np.any(np.abs(arr) >= 1.0):
-        bad = complex(np.atleast_1d(arr)[np.atleast_1d(np.abs(arr) >= 1.0)][0])
-        raise DiskDomainError(f"|z| >= 1 at z = {bad}; handles live on the open disk")
+    _refuse(np.abs(arr) >= 1.0, arr, DiskDomainError,
+            "|z| >= 1 at z = {}; handles live on the open disk")
 
 
 def _series_coef(fh):
@@ -213,29 +220,17 @@ def _a2(fh) -> complex:
     return eval_jet(fh, 0j).d2f / 2.0
 
 
-def _first_hit(values, mask):
-    """The first entry of values, broadcast to the shape of mask, where mask holds."""
-    return np.broadcast_to(values, np.shape(mask))[mask][0]
-
-
 def _p_from_jet(arr, df, d2f):
-    crit = np.abs(df) < ZERO_TOL
-    if np.any(crit):
-        raise CriticalPointError(
-            f"f has a critical point at z = {complex(_first_hit(arr, crit))}; "
-            "1 + z f''/f' is singular there"
-        )
+    _refuse(np.abs(df) < ZERO_TOL, arr, CriticalPointError,
+            "f has a critical point at z = {}; 1 + z f''/f' is singular there")
     return 1.0 + arr * d2f / df
 
 
 def _q_from_jet(fh, arr, f, df):
     small = np.abs(arr) <= SMALL_Z
-    vanish = (np.abs(f) < ZERO_TOL) & ~small
-    if np.any(vanish):
-        raise FunctionZeroError(
-            f"f has a zero inside the disk at z = {complex(_first_hit(arr, vanish))}; "
-            "z f'/f is singular there and f cannot be starlike"
-        )
+    _refuse((np.abs(f) < ZERO_TOL) & ~small, arr, FunctionZeroError,
+            "f has a zero inside the disk at z = {}; "
+            "z f'/f is singular there and f cannot be starlike")
     q = arr * df / np.where(small, 1.0, f)
     if np.any(small):
         q = np.where(small, 1.0 + _a2(fh) * arr, q)
@@ -285,9 +280,7 @@ def _mobius(beta, num, den, pole_message, like):
     where |den| < POLE_TOL raises PoleError(pole_message.format(b)), b the
     beta of the first such point (beta broadcasts against den).  A complex
     scalar when like is a scalar."""
-    pole = np.abs(den) < POLE_TOL
-    if np.any(pole):
-        raise PoleError(pole_message.format(float(_first_hit(beta, pole))))
+    _refuse(np.abs(den) < POLE_TOL, beta, PoleError, pole_message, float)
     out = num / den
     return complex(out) if np.ndim(like) == 0 else out
 

@@ -15,7 +15,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -145,18 +144,18 @@ def _emit(text: str, out: str | None) -> None:
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
-        # what open(path, "w") would give: umask has no getter, so set it back
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         path.write_text(text)  # a FIFO or a device: write through it, never rename over it
         return
-    parent = str(path.parent) or "."
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # "x" never opens a file it did not create; the kernel applies the umask,
+    # so a new report gets the mode open(path, "w") would give it
+    fp = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fp:
-            os.fchmod(fp.fileno(), stat.S_IMODE(mode))
+        with fp:
+            if mode is not None:  # a replaced report keeps its mode
+                os.fchmod(fp.fileno(), stat.S_IMODE(mode))
             fp.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -336,8 +336,12 @@ def _extremal_scan(value_at, n, sense):
     th *= 2.0 * np.pi
     th /= n
     golden = golden_max if sense == 1 else golden_min
+    # near |beta| = 1, 1 + beta^2 - 2 beta cos(theta) can round to 0 at a
+    # sample; the +inf (theorem 1) or -inf (theorem 2) there is never the extreme
+    with np.errstate(divide="ignore"):
+        coarse = value_at(th)
     return refine_extremum(
-        th, value_at(th), lambda a, b: golden(lambda t: float(value_at(t)), a, b), sense
+        th, coarse, lambda a, b: golden(lambda t: float(value_at(t)), a, b), sense
     )
 
 

@@ -48,33 +48,6 @@ class FamilySpec:
     beta: float | None = None
 
 
-def validate_spec(spec: FamilySpec) -> None:
-    if spec.id in _INTERVALS:
-        check, interval = _INTERVALS[spec.id]
-        if spec.beta is None:
-            raise ParameterDomainError(f"family {spec.id} needs beta in {interval}")
-        if not (math.isfinite(spec.beta) and check(spec.beta)):
-            raise ParameterDomainError(
-                f"family {spec.id} needs {interval} (got beta = {spec.beta:g})"
-            )
-        mu = power_exponent(spec.id, spec.beta)
-        if not math.isfinite(mu):
-            raise ParameterDomainError(
-                f"family {spec.id} needs {interval} with a finite exponent mu "
-                f"(got beta = {spec.beta:g}, mu = {mu:g})"
-            )
-        return
-    base = spec.id.split(":", 1)[0]
-    if base in BUILTIN_FAMILIES:
-        if spec.beta is not None:
-            raise ParameterDomainError(f"builtin {spec.id} takes no beta")
-        return
-    raise ParameterDomainError(
-        f"unknown family '{spec.id}'; expected one of "
-        f"{PARAMETRIC_FAMILIES + BUILTIN_FAMILIES}"
-    )
-
-
 def power_exponent(family_id: str, beta: float) -> float:
     """The exponent mu of the power form for a parametric family at beta."""
     if family_id == "ex1_high":
@@ -89,21 +62,49 @@ def power_exponent(family_id: str, beta: float) -> float:
 
 
 def make_family(spec: FamilySpec) -> FunctionHandle:
-    """Build the handle described by spec.
+    """Check spec and build the handle it describes, in one pass.
 
     Paper ids give the power form; mu = 0 (ex2_pos at beta = 1 + sqrt 2,
     where the closed-form denominator vanishes) degenerates to the analytic
     limit -log(1-z).  Any mu != 0, however small, keeps the power form,
     which stays accurate to about 1e-15 there.
     """
-    validate_spec(spec)
-    if spec.id.split(":", 1)[0] in BUILTIN_FAMILIES:
-        return _builtin_handle(spec.id)
-    mu = power_exponent(spec.id, spec.beta)
-    label = f"{spec.id}(beta={spec.beta:g})"
-    if mu == 0.0:
-        return FunctionHandle(kind="log", label=label)
-    return FunctionHandle(kind="power", label=label, mu=mu)
+    if spec.id in _INTERVALS:
+        check, interval = _INTERVALS[spec.id]
+        if spec.beta is None:
+            raise ParameterDomainError(f"family {spec.id} needs beta in {interval}")
+        if not (math.isfinite(spec.beta) and check(spec.beta)):
+            raise ParameterDomainError(
+                f"family {spec.id} needs {interval} (got beta = {spec.beta:g})"
+            )
+        mu = power_exponent(spec.id, spec.beta)
+        if not math.isfinite(mu):
+            raise ParameterDomainError(
+                f"family {spec.id} needs {interval} with a finite exponent mu "
+                f"(got beta = {spec.beta:g}, mu = {mu:g})"
+            )
+        label = f"{spec.id}(beta={spec.beta:g})"
+        if mu == 0.0:
+            return FunctionHandle(kind="log", label=label)
+        return FunctionHandle(kind="power", label=label, mu=mu)
+    base, _, arg = spec.id.partition(":")
+    if base not in BUILTIN_FAMILIES:
+        raise ParameterDomainError(
+            f"unknown family '{spec.id}'; expected one of "
+            f"{PARAMETRIC_FAMILIES + BUILTIN_FAMILIES}"
+        )
+    if spec.beta is not None:
+        raise ParameterDomainError(f"builtin {spec.id} takes no beta")
+    if base == "builtin_monomial":
+        try:
+            order = int(arg) if arg else 1
+        except ValueError:
+            raise ParameterDomainError(f"bad monomial order in '{spec.id}'") from None
+        return monomial(order)
+    if spec.id != base:
+        raise ParameterDomainError(f"unknown builtin '{spec.id}'")
+    return {"builtin_koebe": koebe, "builtin_halfplane": halfplane,
+            "builtin_quadratic": quadratic}[base]()
 
 
 def series(coeffs, label: str | None = None) -> FunctionHandle:
@@ -139,23 +140,6 @@ def monomial(n: int) -> FunctionHandle:
     return series(coeffs, label=f"builtin_monomial:{n}")
 
 
-def _builtin_handle(name: str) -> FunctionHandle:
-    if name == "builtin_koebe":
-        return koebe()
-    if name == "builtin_halfplane":
-        return halfplane()
-    if name == "builtin_quadratic":
-        return quadratic()
-    base, _, arg = name.partition(":")
-    if base == "builtin_monomial":
-        try:
-            order = int(arg) if arg else 1
-        except ValueError:
-            raise ParameterDomainError(f"bad monomial order in '{name}'") from None
-        return monomial(order)
-    raise ParameterDomainError(f"unknown builtin '{name}'")
-
-
 def _pw(z, e):
     # (1-z)^e, principal branch
     return np.exp(e * log_one_minus(z))
@@ -166,12 +150,14 @@ def _one_minus_pw(z, e):
     return -np.expm1(e * log_one_minus(z))
 
 
-def _require_parametric(spec: FamilySpec) -> None:
-    validate_spec(spec)
-    if spec.id not in _INTERVALS:
+def _require_parametric(spec: FamilySpec) -> float:
+    """The exponent mu of a parametric spec.  A builtin without beta is
+    refused here; make_family refuses every other spec it cannot build."""
+    if spec.beta is None and spec.id.split(":", 1)[0] in BUILTIN_FAMILIES:
         raise ParameterDomainError(
             f"closed forms exist for the parametric families only (got '{spec.id}')"
         )
+    return make_family(spec).mu  # 0.0 for the log handle
 
 
 def _with_origin_limit(arr, num, den, limit=1.0):
@@ -186,10 +172,9 @@ def closed_form_q(spec: FamilySpec, z):
     At the singular ex2_pos parameter (mu = 0) the generic expression is
     0/0 and the analytic limit -z / ((1-z) Log(1-z)) is used instead.
     """
-    _require_parametric(spec)
+    mu = _require_parametric(spec)
     arr = np.asarray(z, dtype=complex)
     b = spec.beta
-    mu = power_exponent(spec.id, b)
     if mu == 0.0:
         num = -arr
         den = (1.0 - arr) * log_one_minus(arr)

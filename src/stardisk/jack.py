@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_core import FunctionHandle, mobius_invert_t1, mobius_invert_t2, starlike_q
+from .criteria import t1_bound, t2_bound
 from .errors import DegenerateSchwarzError, DiskDomainError, ParameterDomainError
 from .search import golden_max, refine_extremum
 
@@ -78,6 +79,7 @@ def induced(theorem: int, handle: FunctionHandle, beta: float) -> SchwarzFunctio
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
     if not -np.inf < beta < np.inf:
         raise ParameterDomainError(f"induced w needs -inf < beta < inf (got {beta:g})")
+    (t1_bound if theorem == 1 else t2_bound)(beta)  # the theorem's beta interval
     return SchwarzFunction(
         kind="induced",
         label=f"induced:t{theorem}:{handle.label}:{beta:g}",

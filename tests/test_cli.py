@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,40 @@ def test_jack_non_finite_beta_exit_code(capsys):
               capsys, "-inf < beta < inf")
 
 
+@pytest.mark.parametrize("w, interval", [
+    ("induced:t1:ex2_pos:5", "theorem 1 needs 1 < beta < 3 (got 5)"),
+    ("induced:t1:builtin_koebe:7", "theorem 1 needs 1 < beta < 3 (got 7)"),
+    ("induced:t2:builtin_halfplane:0.5", "1 < beta <= 1e+150 (got 0.5)"),
+])
+def test_jack_induced_beta_outside_its_theorem_interval_exit_code(tmp_path, capsys, w,
+                                                                   interval):
+    out = tmp_path / "j.txt"
+    _rejected(["jack", "--w", w, "--r", "0.9", "--out", str(out)], capsys, interval)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem, beta, report", [
+    (1, "1.0000000000000002", ["extremal_value 1.0000000000009437",
+                               "theta_star 0.015339807878856412",
+                               "bound 1.0000000000000002",
+                               "abs_difference 9.43467526326458e-13"]),
+    (2, "1.0000000000000002", ["extremal_value 0.9999999999990562",
+                               "theta_star 0.015339807878856412", "bound 1.0",
+                               "abs_difference 9.438005932338456e-13"]),
+    (2, "-1.0000000000000002", ["extremal_value 5.551115123125784e-17", "theta_star 0.0",
+                                "bound 5.5511151231257815e-17",
+                                "abs_difference 2.465190328815662e-32"]),
+])
+def test_proof_scan_near_unit_beta_warns_nothing(capsys, theorem, beta, report):
+    # 1 + beta^2 - 2 beta cos(theta) rounds to 0 at theta = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["proof-scan", "--theorem", str(theorem), f"--beta={beta}"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [f"theorem {theorem} beta {beta} theta_steps 4096"] + report
+
+
 def test_jack_nan_blaschke_zero_exit_code(tmp_path, capsys):
     out = tmp_path / "j.txt"
     _rejected(["jack", "--w", "blaschke:nan", "--r", "0.5", "--n", "256",
@@ -468,6 +503,20 @@ def test_a_new_report_gets_the_mode_that_open_gives(tmp_path, umask):
         os.umask(old)
     modes = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("sibling", "j.txt")]
     assert modes == [0o666 & ~umask] * 2
+
+
+def test_a_report_never_touches_the_process_umask(tmp_path, monkeypatch):
+    # a umask set to 0 and back, even briefly, would give a file that another
+    # thread creates in between the mode 0666
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "new.json"
+    assert run_cli(["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
+                    "--out", str(out)] + FAST) == 0
+    assert json.loads(out.read_text())["pass"] is True
+    assert os.listdir(tmp_path) == ["new.json"]
 
 
 def test_an_overwritten_report_keeps_its_mode_and_is_renamed_into_place(tmp_path):

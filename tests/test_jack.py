@@ -142,3 +142,13 @@ def test_constructor_validation():
         sd.blaschke(1.0)
     with pytest.raises(ParameterDomainError):
         sd.induced(3, sd.quadratic(), 2.0)
+
+
+def test_induced_checks_its_theorem_beta_interval():
+    with pytest.raises(ParameterDomainError, match=r"^theorem 1 needs 1 < beta < 3 \(got 7\)$"):
+        sd.induced(1, sd.koebe(), 7.0)
+    with pytest.raises(ParameterDomainError, match=r"1 < beta <= 1e\+150 \(got 0.5\)$"):
+        sd.induced(2, sd.halfplane(), 0.5)
+    # the finite check comes first and names its own interval
+    with pytest.raises(ParameterDomainError, match=r"^induced w needs -inf < beta < inf"):
+        sd.induced(1, sd.koebe(), float("inf"))
