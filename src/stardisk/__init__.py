@@ -14,7 +14,6 @@ from .analytic_core import (
     alexander_jet,
     convexity_p,
     default_grid,
-    derivative_check,
     eval_jet,
     functionals,
     mobius_invert_t1,

@@ -37,6 +37,8 @@ ZERO_TOL = 1e-14
 POLE_TOL = 1e-13
 # Series handles carry a_2 .. a_64 at most, so evaluation stays exact in doubles.
 MAX_SERIES_COEFFS = 63
+# Gauss-Legendre nodes of the quadrature in alexander_jet.
+_ALEXANDER_NODES = 32
 
 DEFAULT_RADII = (0.5, 0.9, 0.99)
 DEFAULT_ANGULAR_COUNT = 4096
@@ -328,18 +330,16 @@ def target_disk(beta: float) -> DiskSpec:
     return DiskSpec(complex(c), c)
 
 
-def alexander_jet(fh: FunctionHandle, z, quad_nodes: int = 32) -> Jet2:
+def alexander_jet(fh: FunctionHandle, z) -> Jet2:
     """Jet of the Alexander transform g(z) = integral_0^z f(t)/t dt.
 
-    Only the value needs quadrature (Gauss-Legendre along the straight
-    segment [0, z]); the derivatives are closed-form, g' = f/z and
+    Only the value needs quadrature (32-point Gauss-Legendre along the
+    straight segment [0, z]); the derivatives are closed-form, g' = f/z and
     g'' = (z f' - f)/z^2, with series values 1 and f''(0)/2 at the origin.
     """
-    if quad_nodes < 8:
-        raise ParameterDomainError(f"quad_nodes must be >= 8 (got {quad_nodes})")
     arr = np.asarray(z, dtype=complex)
     _require_in_disk(arr)
-    x, wt = np.polynomial.legendre.leggauss(quad_nodes)
+    x, wt = np.polynomial.legendre.leggauss(_ALEXANDER_NODES)
     s = 0.5 * (x + 1.0)
     # g = sum_j (w_j / s_j) f(s_j z): the 1/t singularity never appears
     # because the integrand is sampled as f(s z)/(s z) * z = f(s z)/s.
@@ -356,29 +356,3 @@ def alexander_jet(fh: FunctionHandle, z, quad_nodes: int = 32) -> Jet2:
     if np.ndim(z) == 0:
         return Jet2(complex(g), complex(dg), complex(d2g))
     return Jet2(np.asarray(g), np.asarray(dg), np.asarray(d2g))
-
-
-def derivative_check(fh: FunctionHandle, z, h: float) -> float:
-    """Worst relative deviation of the closed-form f', f'' from central
-    differences of f with step h, taken along the +1 and +i directions and
-    averaged (the averaging cancels the leading O(h^2) truncation term).
-    """
-    z0 = complex(z)
-    if h <= 0.0:
-        raise ParameterDomainError(f"step h must be positive (got {h:g})")
-    if abs(z0) + h >= 1.0:
-        raise DiskDomainError(f"|z| + h must stay below 1 (got {abs(z0) + h:g})")
-    jet = eval_jet(fh, z0)
-
-    def value(dz):
-        return eval_jet(fh, z0 + dz).f
-
-    fp, fm = value(h), value(-h)
-    fpi, fmi = value(1j * h), value(-1j * h)
-    df_est = 0.5 * ((fp - fm) / (2.0 * h) + (fpi - fmi) / (2j * h))
-    d2f_est = 0.5 * ((fp - 2.0 * jet.f + fm) - (fpi - 2.0 * jet.f + fmi)) / h**2
-
-    def rel(est, ref):
-        return abs(est - ref) / max(1.0, abs(ref))
-
-    return max(rel(df_est, jet.df), rel(d2f_est, jet.d2f))

@@ -46,11 +46,7 @@ from .errors import (
     ParameterDomainError,
     PoleError,
 )
-from .families import (
-    PARAMETRIC_FAMILIES,
-    FamilySpec,
-    make_family,
-)
+from .families import PARAMETRIC_FAMILIES, FamilySpec, _canonical_int, make_family
 from . import jack as jack_mod
 from .svgplot import DEFAULT_WINDOW, render_curves
 
@@ -118,7 +114,7 @@ def schwarz_from_spec(spec: str):
     kind = parts[0]
     try:
         if kind == "monomial" and len(parts) == 2:
-            return jack_mod.monomial(int(parts[1]))
+            return jack_mod.monomial(_canonical_int(parts[1]))
         if kind == "blaschke" and len(parts) == 2:
             return jack_mod.blaschke(complex(parts[1]))
         if kind == "induced" and len(parts) >= 4 and parts[1] in ("t1", "t2"):
@@ -344,13 +340,6 @@ def _add_grid_args(sp) -> None:
         default=DEFAULT_ANGULAR_COUNT,
         help=f"angular samples per circle, >= 8 (default {DEFAULT_ANGULAR_COUNT})",
     )
-    sp.add_argument(
-        "--threads",
-        type=_threads_arg,
-        default=1,
-        help="worker threads, >= 1, splitting the radii of verify; sweep and plot "
-        "accept the flag and ignore it; reports do not depend on the count",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--beta", type=float, required=True,
                         help=NEGATIVE_HELP.format("--beta"))
     _add_grid_args(verify)
+    verify.add_argument("--threads", type=_threads_arg, default=1,
+                        help="worker threads, >= 1, splitting the radii; "
+                        "reports do not depend on the count")
     verify.add_argument(
         "--schwarz-tol",
         type=_tol_arg,

@@ -6,8 +6,10 @@ Every family is an instance of the single power form
 
 with the exponent mu determined by the family id and its shape parameter
 beta.  The families also expose direct closed forms of z f'/f and
-1 + z f''/f' which are evaluated directly from beta, independently of the
-generic jet path, and therefore serve as cross-check oracles.
+1 + z f''/f', written from beta instead of the jet, as cross-check oracles.
+They share the main path's beta check, mu and mu = 0 log-limit switch (from
+make_family, through _require_parametric) and its log_one_minus, so they
+are not independent of it; ROADMAP item 8 moves them out of the package.
 
 Builtins (Koebe, half plane, the quadratic z - z^2/2, normalized monomial
 perturbations, truncated series) are known-answer anchors that make the
@@ -61,6 +63,14 @@ def power_exponent(family_id: str, beta: float) -> float:
     raise ParameterDomainError(f"'{family_id}' is not a parametric family id")
 
 
+def _canonical_int(text: str) -> int:
+    """int(text) if str() of that int gives text back, else ValueError;
+    int() alone also takes '+2', '02', ' 2', '3_0' and non-ASCII digits."""
+    if str(int(text)) != text:
+        raise ValueError(text)
+    return int(text)
+
+
 def make_family(spec: FamilySpec) -> FunctionHandle:
     """Check spec and build the handle it describes, in one pass.
 
@@ -87,7 +97,7 @@ def make_family(spec: FamilySpec) -> FunctionHandle:
         if mu == 0.0:
             return FunctionHandle(kind="log", label=label)
         return FunctionHandle(kind="power", label=label, mu=mu)
-    base, _, arg = spec.id.partition(":")
+    base, colon, arg = spec.id.partition(":")
     if base not in BUILTIN_FAMILIES:
         raise ParameterDomainError(
             f"unknown family '{spec.id}'; expected one of "
@@ -97,7 +107,7 @@ def make_family(spec: FamilySpec) -> FunctionHandle:
         raise ParameterDomainError(f"builtin {spec.id} takes no beta")
     if base == "builtin_monomial":
         try:
-            order = int(arg) if arg else 1
+            order = _canonical_int(arg) if colon else 1
         except ValueError:
             raise ParameterDomainError(f"bad monomial order in '{spec.id}'") from None
         return monomial(order)
@@ -160,10 +170,10 @@ def _require_parametric(spec: FamilySpec) -> float:
     return make_family(spec).mu  # 0.0 for the log handle
 
 
-def _with_origin_limit(arr, num, den, limit=1.0):
+def _with_origin_limit(arr, num, den):
     zero = arr == 0
-    out = np.where(zero, limit, num) / np.where(zero, 1.0, den)
-    return np.where(zero, limit, out)
+    out = np.where(zero, 1.0, num) / np.where(zero, 1.0, den)
+    return np.where(zero, 1.0, out)
 
 
 def closed_form_q(spec: FamilySpec, z):

@@ -8,10 +8,11 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TOL = 1e-12  # width of the final bracket of golden_min and golden_max
 
 
-def golden_min(fun, a: float, b: float, tol: float = 1e-12):
-    """Minimize a unimodal fun on [a, b]; returns (x, fun(x)).
+def golden_min(fun, a: float, b: float):
+    """Minimize a unimodal fun on [a, b] to a 1e-12 bracket; returns (x, fun(x)).
 
     The result is the best of the final bracket midpoint and the interior
     probes, so the returned value is always an actual evaluation at the
@@ -19,18 +20,19 @@ def golden_min(fun, a: float, b: float, tol: float = 1e-12):
     """
     if not b > a:
         raise ValueError("golden_min needs b > a")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    invphi, tol = _INVPHI, _TOL  # locals: the loop does no global lookup
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
     fc = fun(c)
     fd = fun(d)
     while (b - a) > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
+            c = b - invphi * (b - a)
             fc = fun(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
+            d = a + invphi * (b - a)
             fd = fun(d)
     m = 0.5 * (a + b)
     candidates = [(fun(m), m), (fc, c), (fd, d)]
@@ -38,9 +40,9 @@ def golden_min(fun, a: float, b: float, tol: float = 1e-12):
     return x, val
 
 
-def golden_max(fun, a: float, b: float, tol: float = 1e-12):
+def golden_max(fun, a: float, b: float):
     """Maximize fun on [a, b] via golden_min of its negation."""
-    x, val = golden_min(lambda t: -fun(t), a, b, tol)
+    x, val = golden_min(lambda t: -fun(t), a, b)
     return x, -val
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -85,6 +86,33 @@ def test_jack_exit_codes():
     assert run_cli(["jack", "--w", "monomial:30", "--r", "0.3"]) == 1
     assert run_cli(["jack", "--w", "gibberish", "--r", "0.9"]) == 2
     assert run_cli(["jack", "--w", "monomial:3", "--r", "1.5"]) == 2
+
+
+# orders int() reads but str() does not give back: each would make a label
+# that differs from the text given
+BAD_ORDERS = ["3_0", " +2", "+2", "02", "\u0663", "", "-0", "3 "]
+
+
+@pytest.mark.parametrize("order", BAD_ORDERS)
+def test_family_monomial_order_not_in_canonical_form_exit_code(tmp_path, capsys, order):
+    family = f"builtin_monomial:{order}"
+    code = run_cli(["verify", "--theorem", "1", "--family", family, "--beta", "2",
+                    "--out", str(tmp_path / "r.json")] + FAST)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: bad monomial order in '{family}'\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("order", BAD_ORDERS)
+def test_jack_monomial_order_not_in_canonical_form_exit_code(tmp_path, capsys, order):
+    w = f"monomial:{order}"
+    code = run_cli(["jack", "--w", w, "--r", "0.9", "--n", "256",
+                    "--out", str(tmp_path / "j.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot parse Schwarz function '{w}'; expected monomial:N, "
+        "blaschke:A, or induced:tT:FAMILY:BETA\n")
+    assert not (tmp_path / "j.txt").exists()
 
 
 def test_sweep_straddle_exit_code(tmp_path):
@@ -631,3 +659,53 @@ def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert len(built) == 1
     # the public builder still returns a parser of its own on every call
     assert real() is not real()
+
+
+# ------------------------------------------------------- every flag is read
+
+class _RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
+     "--radii", "0.5,0.9", "--angles", "64", "--threads", "2", "--schwarz-tol", "1e-6",
+     "--timing"],
+    ["sweep", "--theorem", "2", "--family", "ex2_neg", "--beta-min=-3",
+     "--beta-max=-1", "--steps", "3", "--radii", "0.5,0.9", "--angles", "64"],
+    ["proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "256",
+     "--tol", "1e-9"],
+    ["jack", "--w", "monomial:3", "--r", "0.9", "--n", "256", "--imag-tol", "1e-3",
+     "--k-tol", "1e-3"],
+    ["plot", "--theorem", "1", "--family", "ex1_low", "--beta", "1.5",
+     "--radii", "0.5,0.9", "--angles", "64", "--window=-0.5:2.5:-1.5:1.5"],
+], ids=lambda argv: argv[0])
+def test_every_flag_a_command_parses_is_read(tmp_path, argv):
+    args = _RecordingNamespace()
+    cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "report")],
+                                  namespace=args)
+    set_by_parser = set(vars(args)) - {"_read", "command"}
+    args._read.clear()  # the parser reads its own defaults back
+    assert getattr(cli, "cmd_" + argv[0].replace("-", "_"))(args) in (0, 1)
+    assert set_by_parser - args._read == set()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--theorem", "1", "--family", "ex1_high", "--beta-min", "2",
+     "--beta-max", "2.5", "--steps", "3", "--angles", "64"],
+    ["plot", "--theorem", "1", "--family", "ex1_high", "--beta", "2", "--angles", "64"],
+], ids=lambda argv: argv[0])
+def test_threads_is_a_verify_flag_only(tmp_path, capsys, command):
+    out = tmp_path / "report"
+    assert run_cli(command + ["--threads", "2", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()

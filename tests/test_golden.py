@@ -62,9 +62,9 @@ CASES = {
     "sweep_t1_ex1_low_multiblock": [
         "sweep", "--theorem", "1", "--family", "ex1_low", "--beta-min", "1.05",
         "--beta-max", "2.0", "--steps", "40", "--angles", "1024"],
-    "sweep_t2_ex2_neg_threads2": [
+    "sweep_t2_ex2_neg": [
         "sweep", "--theorem", "2", "--family", "ex2_neg", "--beta-min=-6",
-        "--beta-max=-1", "--steps", "33", "--angles", "256", "--threads", "2"],
+        "--beta-max=-1", "--steps", "33", "--angles", "256"],
     # the first beta is the log-limit point (kind log), the others are powers
     "sweep_t2_ex2_pos_mixed_kind": [
         "sweep", "--theorem", "2", "--family", "ex2_pos",

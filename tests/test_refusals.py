@@ -41,6 +41,11 @@ SPEC_REFUSALS = [
     ("builtin_monomial:0", None, "monomial order must be in 1..64 (got 0)", PARAMETRIC_ONLY),
     ("builtin_monomial:65", None, "monomial order must be in 1..64 (got 65)", PARAMETRIC_ONLY),
     ("builtin_monomial:-1", None, "monomial order must be in 1..64 (got -1)", PARAMETRIC_ONLY),
+] + [
+    # an order is read only in the form str(int) gives back, so the label is the id
+    (f"builtin_monomial:{order}", None, "bad monomial order in '{}'", PARAMETRIC_ONLY)
+    for order in ("3_0", " +2", "+2", "02", "\u0663", "", "-0", "3 ")
+] + [
     ("builtin_koebe", None, None, PARAMETRIC_ONLY),
     ("builtin_monomial", None, None, PARAMETRIC_ONLY),
     ("builtin_monomial:3", None, None, PARAMETRIC_ONLY),
