@@ -15,7 +15,6 @@ from .analytic_core import (
     convexity_p,
     default_grid,
     eval_jet,
-    functionals,
     mobius_invert_t1,
     mobius_invert_t2,
     mobius_target,

@@ -14,6 +14,9 @@ disk because Re(1-z) > 0 there.
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,6 +97,11 @@ class FunctionHandle:
             )
         if self.kind == "power" and self.mu == 0.0:
             raise ParameterDomainError("power handles need mu != 0; use kind='log'")
+        if not math.isfinite(self.mu):
+            raise ParameterDomainError(f"handles need a finite mu (got {self.mu:g})")
+        for n, a in enumerate(self.coeffs, 2):
+            if not cmath.isfinite(a):
+                raise ParameterDomainError(f"series coefficients must be finite (got a_{n} = {a})")
 
 
 @dataclass(frozen=True)
@@ -112,10 +120,10 @@ class SamplingGrid:
             raise ParameterDomainError(f"radii must lie in (0, 1), got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ParameterDomainError(f"radii must be strictly increasing, got {radii}")
-        if self.angular_count < 8:
-            raise ParameterDomainError(
-                f"angular_count must be >= 8 (got {self.angular_count})"
-            )
+        count = _integer(self.angular_count, "angular_count")
+        object.__setattr__(self, "angular_count", count)
+        if count < 8:
+            raise ParameterDomainError(f"angular_count must be >= 8 (got {count})")
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
@@ -145,6 +153,15 @@ def _refuse(mask, values, error, message, cast=complex):
     order, passed through cast."""
     if np.any(mask):
         raise error(message.format(cast(np.broadcast_to(values, np.shape(mask))[mask][0])))
+
+
+def _integer(value, name):
+    """value as an int, which a numpy integer gives too; anything else,
+    an integral float included, raises ParameterDomainError naming name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterDomainError(f"{name} must be an integer (got {value!r})") from None
 
 
 def _require_in_disk(arr):
@@ -257,24 +274,6 @@ def convexity_p(fh: FunctionHandle, z):
     jet = eval_jet(fh, arr)
     p = _p_from_jet(arr, jet.df, jet.d2f)
     return complex(p) if np.ndim(z) == 0 else p
-
-
-def functionals(fh: FunctionHandle, z):
-    """(starlike_q(fh, z), convexity_p(fh, z)) from a single jet pass.
-
-    The values are bit-for-bit those of the two functions.  The guard of p
-    runs first, so a grid holding both a zero of f' and a zero of f raises
-    CriticalPointError.  Each jet array is dropped once used, which keeps
-    the peak memory of a grid scan at that of the separate calls.
-    """
-    arr = np.asarray(z, dtype=complex)
-    f, df, d2f = eval_jet(fh, arr)
-    p = _p_from_jet(arr, df, d2f)
-    del d2f
-    q = _q_from_jet(fh, arr, f, df)
-    if np.ndim(z) == 0:
-        return complex(q), complex(p)
-    return q, p
 
 
 def _mobius(beta, num, den, pole_message, like):

@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analytic_core
 from .analytic_core import (
     SMALL_Z,
     FunctionHandle,
     SamplingGrid,
+    _integer,
     _p_from_jet,
     _power_jet,
     _q_from_jet,
     _require_in_disk,
     convexity_p,
-    functionals,
     log_one_minus,
     mobius_invert_t1,
     mobius_invert_t2,
@@ -82,8 +83,6 @@ class ConclusionReport:
 
 @dataclass(frozen=True)
 class BoundaryScan:
-    theta_samples: int
-    k: float
     extremal_value: float
     theta_star: float
 
@@ -164,20 +163,22 @@ def _reports(theorem, radii, bound, w0, extreme, witness, max_abs_w, min_re_q, s
 
 
 def _scan(theorem, handles, betas, z, lg):
-    """The _reduce results of the handles at their betas on one circle z:
-    one handle through functionals, or a block of power handles as one
-    (betas x angles) array pass over lg = Log(1 - z) through the same
-    formulas and guards.  The power pass has no small-z patch, so z must
-    keep |z| > SMALL_Z."""
+    """The _reduce results of the handles at their betas on one circle z,
+    from the jet of one handle or of a block of power handles as one
+    (betas x angles) array over lg = Log(1 - z), which has no small-z patch
+    (z must keep |z| > SMALL_Z).  The guard of p runs first, so a circle
+    holding zeros of both f' and f raises CriticalPointError, and each jet
+    array is dropped once used."""
     if len(handles) == 1:
-        q, p = functionals(handles[0], z[None])
+        # through the module, where a span tracer may have replaced eval_jet
+        f, df, d2f = analytic_core.eval_jet(handles[0], z[None])
     else:
         _require_in_disk(z)
         f, df, d2f = _power_jet(np.array([fh.mu for fh in handles])[:, None], lg)
-        p = _p_from_jet(z, df, d2f)
-        del d2f
-        q = _q_from_jet(None, z, f, df)
-        del f, df
+    p = _p_from_jet(z, df, d2f)
+    del d2f
+    q = _q_from_jet(handles[0], z, f, df)
+    del f, df
     b = np.asarray(betas)[:, None]
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     return _reduce(theorem, b, z, q, p, invert(b, q))
@@ -238,10 +239,16 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     """[run_t1 or run_t2 (by theorem) at (handle, beta)] for each pair of
     handles and betas, equal to the per-beta calls, on one thread.
 
-    Every bound is checked before any work.  _run scans blocks of power
-    handles together, one array pass per circle, and nothing is returned
-    before every beta is done.
+    The theorem, the list lengths and every bound are checked before any
+    work.  _run scans blocks of power handles together, one array pass per
+    circle, and nothing is returned before every beta is done.
     """
+    if theorem not in (1, 2):
+        raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
+    if len(handles) != len(betas):
+        raise ParameterDomainError(
+            f"sweep needs one beta per handle (got {len(handles)} handles, {len(betas)} betas)"
+        )
     return _run(handles, betas, grid, theorem)
 
 
@@ -273,9 +280,9 @@ def order_of_convexity(fh: FunctionHandle, grid: SamplingGrid) -> float:
     return float(convexity_p(fh, z).real.min())
 
 
-def _boundary_value(beta, theta, lead, num, add):
-    """lead + num / (2 den), or lead - num / (2 den) unless add, with
-    den = 1 + beta^2 - 2 beta cos theta, in this operation order.
+def _boundary_value(beta, theta, lead, num):
+    """lead + num / (2 den) with den = 1 + beta^2 - 2 beta cos theta, in
+    this operation order.
 
     A finite float theta goes through math.cos and float arithmetic, as
     the golden refinement calls it; anything else is evaluated into one
@@ -288,14 +295,14 @@ def _boundary_value(beta, theta, lead, num, add):
         den = 1.0 + beta * beta - 2.0 * beta * math.cos(theta)
         if den:
             q = num / (2.0 * den)
-            return float(lead + q if add else lead - q)
+            return float(lead + q)
     th = np.asarray(theta, dtype=float)
     val = np.cos(th, out=np.empty_like(th))
     val *= 2.0 * beta
     np.subtract(1.0 + beta * beta, val, out=val)
     val *= 2.0
     np.divide(num, val, out=val)
-    (np.add if add else np.subtract)(lead, val, out=val)
+    np.add(lead, val, out=val)
     return float(val) if val.ndim == 0 else val
 
 
@@ -306,9 +313,8 @@ def proof_boundary_value_t1(beta: float, theta, k: float):
     """
     _require_t1_beta(beta)
     _require_k(k)
-    return _boundary_value(
-        beta, theta, 0.5 * (1.0 + beta), (beta * beta - 1.0) * (1.0 - beta + k), True
-    )
+    return _boundary_value(beta, theta, 0.5 * (1.0 + beta),
+                           (beta * beta - 1.0) * (1.0 - beta + k))
 
 
 def proof_boundary_value_t2(beta: float, theta, k: float):
@@ -325,10 +331,12 @@ def proof_boundary_value_t2(beta: float, theta, k: float):
     if beta * beta == 1.0:
         shape = np.shape(theta)
         return np.full(shape, base) if shape else float(base)
-    return _boundary_value(beta, theta, base, k * (beta * beta - 1.0), False)
+    # lead + (-x) is lead - x bit for bit
+    return _boundary_value(beta, theta, base, -(k * (beta * beta - 1.0)))
 
 
 def _extremal_scan(value_at, n, sense):
+    n = _integer(n, "theta_samples")
     if n < 256:
         raise ParameterDomainError(f"theta_samples must be >= 256 (got {n})")
     # 2 pi * i / n, built in place
@@ -340,9 +348,7 @@ def _extremal_scan(value_at, n, sense):
     # sample; the +inf (theorem 1) or -inf (theorem 2) there is never the extreme
     with np.errstate(divide="ignore"):
         coarse = value_at(th)
-    return refine_extremum(
-        th, coarse, lambda a, b: golden(lambda t: float(value_at(t)), a, b), sense
-    )
+    return refine_extremum(th, coarse, lambda a, b: golden(value_at, a, b), sense)
 
 
 def proof_extremal_t1(beta: float, theta_samples: int) -> BoundaryScan:
@@ -351,7 +357,7 @@ def proof_extremal_t1(beta: float, theta_samples: int) -> BoundaryScan:
     theta_star, val = _extremal_scan(
         lambda t: proof_boundary_value_t1(beta, t, 1.0), theta_samples, -1
     )
-    return BoundaryScan(theta_samples, 1.0, val, theta_star)
+    return BoundaryScan(val, theta_star)
 
 
 def proof_extremal_t2(beta: float, theta_samples: int) -> BoundaryScan:
@@ -360,4 +366,4 @@ def proof_extremal_t2(beta: float, theta_samples: int) -> BoundaryScan:
     theta_star, val = _extremal_scan(
         lambda t: proof_boundary_value_t2(beta, t, 1.0), theta_samples, 1
     )
-    return BoundaryScan(theta_samples, 1.0, val, theta_star)
+    return BoundaryScan(val, theta_star)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_core import FunctionHandle, MAX_SERIES_COEFFS, log_one_minus
+from .analytic_core import FunctionHandle, MAX_SERIES_COEFFS, _integer, log_one_minus
 from .errors import ParameterDomainError
 
 PARAMETRIC_FAMILIES = ("ex1_high", "ex1_low", "ex2_pos", "ex2_neg")
@@ -140,6 +140,7 @@ def quadratic() -> FunctionHandle:
 
 def monomial(n: int) -> FunctionHandle:
     """The identity z for n = 1, else the normalized perturbation z + z^n/n."""
+    n = _integer(n, "monomial order")
     if n < 1 or n > MAX_SERIES_COEFFS + 1:
         raise ParameterDomainError(
             f"monomial order must be in 1..{MAX_SERIES_COEFFS + 1} (got {n})"

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_core import FunctionHandle, mobius_invert_t1, mobius_invert_t2, starlike_q
+from .analytic_core import (
+    FunctionHandle,
+    _integer,
+    mobius_invert_t1,
+    mobius_invert_t2,
+    starlike_q,
+)
 from .criteria import t1_bound, t2_bound
 from .errors import DegenerateSchwarzError, DiskDomainError, ParameterDomainError
 from .search import golden_max, refine_extremum
@@ -61,6 +67,7 @@ class JackProbe:
 
 
 def monomial(n: int) -> SchwarzFunction:
+    n = _integer(n, "monomial order")
     if n < 1:
         raise ParameterDomainError(f"monomial order must be >= 1 (got {n})")
     return SchwarzFunction(kind="monomial", label=f"monomial:{n}", n=n)
@@ -98,6 +105,7 @@ def boundary_argmax(w, r: float, n: int = 1024):
     """
     if not 0.0 < r < 1.0:
         raise DiskDomainError(f"probe radius must be in (0, 1) (got {r:g})")
+    n = _integer(n, "angular sample count")
     if n < 256:
         raise ParameterDomainError(f"angular sample count must be >= 256 (got {n})")
     th = 2.0 * np.pi * np.arange(n) / n

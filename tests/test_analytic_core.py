@@ -119,48 +119,6 @@ def test_p_critical_point_error():
         sd.convexity_p(fh, -0.5)
 
 
-def _bits(x):
-    return np.asarray(x, dtype=complex).tobytes()
-
-
-def test_functionals_bitwise_equal_to_q_and_p():
-    # every handle kind, the origin, and points inside the small-z patch
-    z = np.concatenate([
-        sample_points(256, rmax=0.99),
-        [0j, 1e-7, -sd.analytic_core.SMALL_Z, 5e-7j, 2e-6 - 1e-6j],
-    ])
-    kinds = set()
-    for fh in handle_zoo():
-        kinds.add(fh.kind)
-        q, p = sd.functionals(fh, z)
-        assert _bits(q) == _bits(sd.starlike_q(fh, z))
-        assert _bits(p) == _bits(sd.convexity_p(fh, z))
-        q0, p0 = sd.functionals(fh, 0j)
-        assert type(q0) is complex and type(p0) is complex
-        assert _bits(q0) == _bits(sd.starlike_q(fh, 0j))
-        assert _bits(p0) == _bits(sd.convexity_p(fh, 0j))
-    assert kinds == {"power", "log", "series", "koebe", "halfplane"}
-
-
-def test_functionals_raise_p_guard_first():
-    # f = z - 2 z^2: f' vanishes at z = 1/4, f at z = 1/2
-    fh = sd.series((-2.0,))
-    z = np.array([0.1, 0.25, 0.5])
-    with pytest.raises(FunctionZeroError):
-        sd.starlike_q(fh, z)
-    with pytest.raises(CriticalPointError):
-        sd.convexity_p(fh, z)
-    with pytest.raises(CriticalPointError):
-        sd.functionals(fh, z)
-    with pytest.raises(FunctionZeroError):
-        sd.functionals(fh, np.array([0.1, 0.5]))
-
-
-def test_functionals_outside_disk_rejected():
-    with pytest.raises(DiskDomainError):
-        sd.functionals(sd.koebe(), np.array([0.5, 1.0]))
-
-
 # ------------------------------------------------------------- Mobius maps
 
 def test_mobius_target_values():

@@ -13,7 +13,7 @@ from stardisk.errors import (
     PoleError,
 )
 
-from conftest import circ_dist
+from conftest import circ_dist, handle_zoo
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +112,29 @@ def test_runs_equal_for_one_and_two_threads(small_grid, family, beta):
     fh = sd.make_family(sd.FamilySpec(family, beta))
     run = sd.run_t1 if family.startswith("ex1") else sd.run_t2
     assert run(fh, beta, small_grid, threads=1) == run(fh, beta, small_grid, threads=2)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("theorem", [1, 2])
+def test_run_reductions_equal_those_of_q_and_p_bit_for_bit(theorem):
+    # every handle kind, and circles inside and at the edge of the small-z patch
+    grid = sd.SamplingGrid((5e-7, analytic_core.SMALL_Z, 0.5, 0.99), 256)
+    run, pick = (sd.run_t1, np.argmax) if theorem == 1 else (sd.run_t2, np.argmin)
+    kinds = set()
+    for fh in handle_zoo():
+        kinds.add(fh.kind)
+        hyp, con = run(fh, 2.5, grid)
+        for r, h, c in zip(grid.radii, hyp.per_radius, con.per_radius):
+            z = grid.circle(r)
+            re_p = sd.convexity_p(fh, z).real
+            i = pick(re_p)
+            assert _bits(h.extreme) == _bits(re_p[i])
+            assert _bits(h.witness) == _bits(z[i])
+            assert _bits(c.min_re_q) == _bits(sd.starlike_q(fh, z).real.min())
+    assert kinds == {"power", "log", "series", "koebe", "halfplane"}
 
 
 # ------------------------------------------------------------------ theorem 2

@@ -2,8 +2,10 @@
 
 The family-spec table runs each spec through make_family and through both
 closed forms; the guard table covers the off-disk, zero, critical-point and
-Mobius-pole checks on scalar, 0-d and array input, where the message names
-the first offending entry in row-major order.
+Mobius-pole checks on scalar, 0-d and array input and in the grid scan of
+one handle, where the message names the first offending entry in row-major
+order; the parameter table covers sample counts, non-finite handle
+parameters, and a sweep's theorem and list lengths.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import stardisk as sd
+from stardisk import criteria
 from stardisk.errors import (
     CriticalPointError,
     DiskDomainError,
@@ -106,6 +109,13 @@ CRITICAL = "f has a critical point at z = (0.1+0j); 1 + z f''/f' is singular the
 # f = z - 5 z^2: f' vanishes at z = 0.1, f at z = 0.2
 ZERO_AT_02 = sd.series((-5.0,))
 
+
+
+def _one_handle_scan(fh, z):
+    """The grid scan of one handle on the points z (theorem 1, beta = 2)."""
+    return criteria._scan(1, [fh], [2.0], z, None)
+
+
 GUARD_REFUSALS = [
     ("eval_jet", sd.koebe(), 1.5, DiskDomainError, OFF_DISK.format("(1.5+0j)")),
     ("eval_jet", sd.koebe(), -1.0, DiskDomainError, OFF_DISK.format("(-1+0j)")),
@@ -122,8 +132,7 @@ GUARD_REFUSALS = [
      "evaluation points must be finite"),
     ("starlike_q", sd.koebe(), np.array([0.5, 1.0]), DiskDomainError,
      OFF_DISK.format("(1+0j)")),
-    ("functionals", sd.koebe(), np.array([0.5, 1.0]), DiskDomainError,
-     OFF_DISK.format("(1+0j)")),
+    ("scan", sd.koebe(), np.array([0.5, 1.0]), DiskDomainError, OFF_DISK.format("(1+0j)")),
     ("starlike_q", ZERO_AT_02, 0.2, FunctionZeroError, ZERO),
     ("starlike_q", ZERO_AT_02, np.asarray(0.2), FunctionZeroError, ZERO),
     ("starlike_q", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), FunctionZeroError, ZERO),
@@ -132,12 +141,12 @@ GUARD_REFUSALS = [
     ("convexity_p", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), CriticalPointError, CRITICAL),
     ("convexity_p", ZERO_AT_02, np.array([[0.0, 0.3], [0.2, 0.1]]), CriticalPointError,
      CRITICAL),
-    ("functionals", ZERO_AT_02, 0.1, CriticalPointError, CRITICAL),
-    ("functionals", ZERO_AT_02, 0.2, FunctionZeroError, ZERO),
-    ("functionals", ZERO_AT_02, np.asarray(0.2), FunctionZeroError, ZERO),
-    ("functionals", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), CriticalPointError, CRITICAL),
-    ("functionals", ZERO_AT_02, np.array([[0.0, 0.3], [0.2, 0.1]]), CriticalPointError,
-     CRITICAL),
+    # a grid scan raises the guard of p first, wherever the zero of f lies
+    ("scan", ZERO_AT_02, np.array([0.1]), CriticalPointError, CRITICAL),
+    ("scan", ZERO_AT_02, np.array([0.2]), FunctionZeroError, ZERO),
+    ("scan", ZERO_AT_02, np.array([0.05, 0.2, 0.3]), FunctionZeroError, ZERO),
+    ("scan", ZERO_AT_02, np.array([0.05, 0.2, 0.1]), CriticalPointError, CRITICAL),
+    ("scan", ZERO_AT_02, np.array([0.2, 0.3, 0.1]), CriticalPointError, CRITICAL),
     ("mobius_target", 0.5, 0.5, PoleError, "z = beta = 0.5 is the pole of the target map"),
     ("mobius_target", 0.0, 0.3, ParameterDomainError, "the target map needs beta != 0"),
     ("mobius_target", 2.5, np.array([0.1, 2.5]), PoleError,
@@ -156,13 +165,76 @@ GUARD_REFUSALS = [
      "beta * q = 1 (beta = 2) is the pole of the inverse map"),
     ("mobius_invert_t2", np.array([2.0, 4.0]), np.array([0.3, 0.25]), PoleError,
      "beta * q = 1 (beta = 4) is the pole of the inverse map"),
+    # f = z - 2 z^2: f' vanishes at z = 1/4, f at z = 1/2
+    ("scan", sd.series((-2.0,)), np.array([0.1, 0.25, 0.5]), CriticalPointError,
+     "f has a critical point at z = (0.25+0j); 1 + z f''/f' is singular there"),
+    ("scan", sd.series((-2.0,)), np.array([0.1, 0.5]), FunctionZeroError,
+     "f has a zero inside the disk at z = (0.5+0j); "
+     "z f'/f is singular there and f cannot be starlike"),
 ]
 
 
 @pytest.mark.parametrize("op, first, second, error, message", GUARD_REFUSALS,
                          ids=[f"{c[0]}-{i}" for i, c in enumerate(GUARD_REFUSALS)])
 def test_guard_refusal(op, first, second, error, message):
+    call = _one_handle_scan if op == "scan" else getattr(sd, op)
     with pytest.raises(error) as err:
-        getattr(sd, op)(first, second)
+        call(first, second)
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+TINY_GRID = sd.SamplingGrid((0.5,), 16)
+
+# (id, call, message): refusals of a call's own parameters, each a
+# ParameterDomainError.  A sample count or an order must be an integer: a
+# float, even an integral one, would sample a circle that does not close or
+# build a function that is not analytic on the disk.
+PARAMETER_REFUSALS = [
+    ("grid-fractional-count", lambda: sd.SamplingGrid((0.5,), 8.5),
+     "angular_count must be an integer (got 8.5)"),
+    ("grid-float-count", lambda: sd.SamplingGrid((0.5,), 16.0),
+     "angular_count must be an integer (got 16.0)"),
+    ("proof-t1-fractional-samples", lambda: sd.proof_extremal_t1(2.5, 256.5),
+     "theta_samples must be an integer (got 256.5)"),
+    ("proof-t2-float-samples", lambda: sd.proof_extremal_t2(2.0, 256.0),
+     "theta_samples must be an integer (got 256.0)"),
+    ("argmax-fractional-samples",
+     lambda: sd.boundary_argmax(sd.schwarz_monomial(2), 0.5, 256.5),
+     "angular sample count must be an integer (got 256.5)"),
+    ("schwarz-monomial-fractional-order", lambda: sd.schwarz_monomial(2.5),
+     "monomial order must be an integer (got 2.5)"),
+    ("monomial-fractional-order", lambda: sd.monomial(2.5),
+     "monomial order must be an integer (got 2.5)"),
+    # NaN never reaches a report: a handle refuses non-finite parameters
+    ("series-nan", lambda: sd.series([math.nan]),
+     "series coefficients must be finite (got a_2 = (nan+0j))"),
+    ("series-inf", lambda: sd.series([0.5, complex(0.0, math.inf)]),
+     "series coefficients must be finite (got a_3 = infj)"),
+    ("power-nan-mu", lambda: sd.FunctionHandle("power", "x", mu=math.nan),
+     "handles need a finite mu (got nan)"),
+    ("power-inf-mu", lambda: sd.FunctionHandle("power", "x", mu=-math.inf),
+     "handles need a finite mu (got -inf)"),
+    ("sweep-more-betas", lambda: sd.sweep([sd.koebe()], [2.0, 2.5], TINY_GRID, 1),
+     "sweep needs one beta per handle (got 1 handles, 2 betas)"),
+    ("sweep-more-handles", lambda: sd.sweep([sd.koebe()] * 2, [2.0], TINY_GRID, 1),
+     "sweep needs one beta per handle (got 2 handles, 1 betas)"),
+    ("sweep-theorem-3", lambda: sd.sweep([sd.koebe()], [2.0], TINY_GRID, 3),
+     "theorem must be 1 or 2 (got 3)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in PARAMETER_REFUSALS],
+                         ids=[c[0] for c in PARAMETER_REFUSALS])
+def test_parameter_refusal(call, message):
+    with pytest.raises(ParameterDomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_numpy_integer_counts_are_accepted():
+    grid = sd.SamplingGrid((0.5,), np.int64(16))
+    assert type(grid.angular_count) is int and grid == TINY_GRID
+    assert sd.proof_extremal_t1(2.5, np.int32(256)) == sd.proof_extremal_t1(2.5, 256)
+    assert sd.schwarz_monomial(np.int64(2)) == sd.schwarz_monomial(2)
+    assert sd.monomial(np.int64(3)) == sd.monomial(3)
