@@ -186,7 +186,13 @@ def _scan(theorem, handles, betas, z, lg):
 
 def _run(handles, betas, grid, theorem, threads=1):
     """The report pairs of the handles at their betas, equal to one run per
-    beta.  Every bound is computed before any work.
+    beta.  The thread count and every bound are checked before any work.
+
+    When every handle has real Taylor coefficients, f(conj z) = conj f(z),
+    so Re p, Re q, |w| and |q - c| take the same value at theta and -theta:
+    only the angles theta_j, j = 0..angular_count // 2, which hold one
+    angle of each mirror pair, are scanned (theta in [0, pi]).  A series
+    with a complex coefficient scans the full circle.
 
     When every handle is power-form and every grid point has |z| > SMALL_Z,
     the betas are scanned in blocks of SWEEP_BLOCK_POINTS // angular_count,
@@ -197,8 +203,13 @@ def _run(handles, betas, grid, theorem, threads=1):
     block is replayed beta by beta when a guard fires, so the first error
     is that of the per-beta loop.
     """
+    threads = _integer(threads, "threads")
+    if threads < 1:
+        raise ParameterDomainError(f"threads must be >= 1 (got {threads})")
     bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
     unit = np.exp(1j * grid.angles())
+    if all(c.imag == 0.0 for fh in handles for c in fh.coeffs):
+        unit = unit[:grid.angular_count // 2 + 1]
     block = SWEEP_BLOCK_POINTS // grid.angular_count
     # |r e^{i theta}| can round below r, so the test is on the points
     if (len(handles) < 2 or block < 2 or any(fh.kind != "power" for fh in handles)
@@ -256,6 +267,9 @@ def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1
     """Check the theorem-1 hypothesis (Re p below t1_bound) and conclusion
     (w = mobius_invert_t1(beta, z f'/f) a Schwarz function; q inside the
     target disk) on the grid.  Returns (HypothesisReport, ConclusionReport).
+    A handle with real coefficients is scanned on theta in [0, pi], one
+    with a complex coefficient on the full circle; threads is an integer
+    >= 1.
     """
     return _run([fh], [beta], grid, 1, threads)[0]
 
@@ -263,7 +277,8 @@ def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1
 def run_t2(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
     """Check the theorem-2 hypothesis (Re p above t2_bound) and conclusion
     (w = mobius_invert_t2(beta, z f'/f) a Schwarz function; starlikeness
-    order target (beta+1)/(2 beta))."""
+    order target (beta+1)/(2 beta)).  Scanned on theta in [0, pi] or the
+    full circle as run_t1 is."""
     return _run([fh], [beta], grid, 2, threads)[0]
 
 

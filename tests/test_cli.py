@@ -10,8 +10,10 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import stardisk as sd
 from stardisk import cli
 
 
@@ -229,6 +231,25 @@ def test_verify_thread_count_invariance(tmp_path):
     run_cli(base + ["--threads", "1", "--out", str(a)])
     run_cli(base + ["--threads", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# z - z^2 / 2, as a series and as ex1_high at beta = 2 (mu = 2)
+@pytest.mark.parametrize("family", ["builtin_quadratic", "ex1_high"])
+@pytest.mark.parametrize("angles", [256, 512, 777])
+def test_verify_identity_w_is_no_further_from_r_than_on_the_full_circle(
+        tmp_path, family, angles):
+    # at beta = 2 the theorem-1 w of z - z^2 / 2 is exactly z, so max|w| = r;
+    # the scan of theta in [0, pi] is no further off than the full circle
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--theorem", "1", "--family", family, "--beta", "2",
+                    "--radii", "0.5,0.9,0.99", "--angles", str(angles),
+                    "--out", str(out)]) == 0
+    fh = sd.make_family(sd.FamilySpec(family, None if family.startswith("builtin") else 2.0))
+    for row in json.loads(out.read_text())["conclusion"]["per_radius"]:
+        r = row["r"]
+        z = sd.SamplingGrid((r,), angles).circle(r)
+        full = np.abs(sd.mobius_invert_t1(2.0, sd.starlike_q(fh, z))).max()
+        assert abs(row["max_abs_w"] - r) <= abs(full - r)
 
 
 def test_report_roundtrip_exact_floats(tmp_path):

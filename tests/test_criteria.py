@@ -118,23 +118,41 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
+def _is_real(fh):
+    return all(c.imag == 0.0 for c in fh.coeffs)
+
+
 @pytest.mark.parametrize("theorem", [1, 2])
 def test_run_reductions_equal_those_of_q_and_p_bit_for_bit(theorem):
-    # every handle kind, and circles inside and at the edge of the small-z patch
+    # every handle kind, and circles inside and at the edge of the small-z
+    # patch; a real-coefficient handle is scanned on theta in [0, pi], a
+    # complex one on the full circle
     grid = sd.SamplingGrid((5e-7, analytic_core.SMALL_Z, 0.5, 0.99), 256)
     run, pick = (sd.run_t1, np.argmax) if theorem == 1 else (sd.run_t2, np.argmin)
     kinds = set()
-    for fh in handle_zoo():
+    for fh in handle_zoo() + [sd.series((0.3j,))]:
         kinds.add(fh.kind)
         hyp, con = run(fh, 2.5, grid)
         for r, h, c in zip(grid.radii, hyp.per_radius, con.per_radius):
             z = grid.circle(r)
+            if _is_real(fh):
+                z = z[:grid.angular_count // 2 + 1]
             re_p = sd.convexity_p(fh, z).real
             i = pick(re_p)
             assert _bits(h.extreme) == _bits(re_p[i])
             assert _bits(h.witness) == _bits(z[i])
             assert _bits(c.min_re_q) == _bits(sd.starlike_q(fh, z).real.min())
     assert kinds == {"power", "log", "series", "koebe", "halfplane"}
+
+
+def test_complex_coefficients_keep_the_full_circle():
+    # Re p of z + 0.3i z^2 peaks where 0.6i z is real and positive, at
+    # theta = 3 pi / 2; a scan of theta in [0, pi] would miss it
+    grid = sd.SamplingGrid((0.5, 0.9), 256)
+    hyp, _ = sd.run_t1(sd.series((0.3j,)), 2.5, grid)
+    for r, h in zip(grid.radii, hyp.per_radius):
+        assert h.witness == grid.circle(r)[3 * 256 // 4]
+        assert h.witness.imag < 0.0
 
 
 # ------------------------------------------------------------------ theorem 2

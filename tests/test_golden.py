@@ -5,7 +5,11 @@ Every refactor is measured against these files; a change that alters any
 byte of a report has to say so by regenerating them.  The stored files in
 ``tests/golden/`` were generated with numpy 2.4.6 (Python 3.11) from the
 commit before the fused q/p scan; floating-point results may differ in
-the last digit under another numpy build.
+the last digit under another numpy build.  Four files were regenerated
+when verify and sweep began scanning theta in [0, pi] for real
+coefficients: verify_t1_quadratic, sweep_t1_builtin_quadratic,
+sweep_t1_ex1_high and sweep_t1_ex1_low_multiblock.  Only max_abs_w and
+schwarz_ratio changed, on circles where w = z exactly, each closer to r.
 
 Regenerate (only when a report change is intended) with
 

@@ -1,6 +1,7 @@
 """Property tests: the sweep equals its per-beta runs on any thread count,
-the Mobius maps of both theorems invert the target map, and z f'/f and
-1 + z f''/f' of a function with real coefficients are conjugate symmetric."""
+the Mobius maps of both theorems invert the target map, z f'/f and
+1 + z f''/f' of a function with real coefficients are conjugate symmetric,
+and a run over theta in [0, pi] gives the full circle's reductions."""
 
 import math
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import stardisk as sd  # noqa: E402
 from stardisk.errors import CriticalPointError, FunctionZeroError, PoleError  # noqa: E402
+
+GUARD_ERRORS = (CriticalPointError, FunctionZeroError, PoleError)
 
 # derandomized: a run draws the same examples every time
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -31,7 +34,7 @@ FAMILIES = {
 def _outcome(call):
     try:
         return call()
-    except (CriticalPointError, FunctionZeroError, PoleError) as exc:
+    except GUARD_ERRORS as exc:
         return type(exc), str(exc)
 
 
@@ -104,3 +107,59 @@ def test_functionals_are_conjugate_symmetric(fh, r, theta):
     for functional in (sd.starlike_q, sd.convexity_p):
         a, b = functional(fh, z), functional(fh, np.conj(z))
         assert (np.abs(b - np.conj(a)) <= 4.0 * np.spacing(np.abs(a))).all()
+
+
+def _mirrored_circle(grid, r):
+    """The grid's angles 0..n//2 on |z| = r, followed by the exact conjugates
+    of the rest of their mirror pairs: a full circle of n points on which
+    a conjugate-symmetric value repeats to the last bit."""
+    n = grid.angular_count
+    half = grid.circle(r)[:n // 2 + 1]
+    return np.concatenate([half, np.conj(half[1:(n + 1) // 2])[::-1]])
+
+
+def _full_circle_rows(fh, beta, grid, theorem):
+    """Per circle: the extreme of Re p, max|w|, min Re q and, for theorem 1,
+    max|q - c|, from convexity_p and starlike_q on the mirrored full circle,
+    each paired with the largest magnitude it was reduced from; the guards
+    run in the order of a run."""
+    invert = sd.mobius_invert_t1 if theorem == 1 else sd.mobius_invert_t2
+    rows = []
+    for r in grid.radii:
+        z = _mirrored_circle(grid, r)
+        p = sd.convexity_p(fh, z)
+        q = sd.starlike_q(fh, z)
+        w = np.abs(invert(beta, q))
+        extreme = p.real.max() if theorem == 1 else p.real.min()
+        row = [(extreme, np.abs(p).max()), (w.max(), w.max()), (q.real.min(), np.abs(q).max())]
+        if theorem == 1:
+            c = beta / (beta + 1.0)
+            dist = np.abs(q - c).max()
+            row.append((dist, dist))
+        rows.append(row)
+    invert(beta, 1.0 + 0j)  # w(0): the pole of beta -> 1
+    return rows
+
+
+T1_BETAS = st.floats(1.0, 3.0, exclude_min=True, exclude_max=True)
+T2_BETAS = st.one_of(st.floats(-50.0, -1.0), st.floats(1.0, 50.0, exclude_min=True))
+
+
+@PROPERTY
+@given(fh=real_handles(), grid=grids, theorem=st.sampled_from([1, 2]), data=st.data())
+def test_half_circle_runs_give_the_full_circle_reductions(fh, grid, theorem, data):
+    beta = data.draw(T1_BETAS if theorem == 1 else T2_BETAS)
+    run = sd.run_t1 if theorem == 1 else sd.run_t2
+    try:
+        hyp, con = run(fh, beta, grid)
+    except GUARD_ERRORS as exc:
+        with pytest.raises(type(exc)):
+            _full_circle_rows(fh, beta, grid, theorem)
+        return
+    for h, c, want in zip(hyp.per_radius, con.per_radius,
+                          _full_circle_rows(fh, beta, grid, theorem)):
+        got = [h.extreme, c.max_abs_w, c.min_re_q]
+        if theorem == 1:
+            got.append(beta / (beta + 1.0) - c.disk_slack)
+        for value, (reference, scale) in zip(got, want):
+            assert abs(value - reference) <= 4.0 * np.spacing(scale), (value, reference)

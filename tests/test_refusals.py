@@ -5,7 +5,7 @@ closed forms; the guard table covers the off-disk, zero, critical-point and
 Mobius-pole checks on scalar, 0-d and array input and in the grid scan of
 one handle, where the message names the first offending entry in row-major
 order; the parameter table covers sample counts, non-finite handle
-parameters, and a sweep's theorem and list lengths.
+parameters, a sweep's theorem and list lengths, and a run's thread count.
 """
 
 import math
@@ -174,8 +174,20 @@ GUARD_REFUSALS = [
 ]
 
 
+def _short(arg):
+    """A guard argument in a test id: a handle by its series coefficients or
+    label, an array by its nested list, anything else by its repr."""
+    if isinstance(arg, sd.FunctionHandle):
+        return f"series{list(arg.coeffs)}" if arg.coeffs else arg.label
+    if isinstance(arg, np.ndarray):
+        return f"array({arg.tolist()})".replace(" ", "")
+    return repr(arg)
+
+
+# each id is built from the row's own content, so adding a row renames no other
 @pytest.mark.parametrize("op, first, second, error, message", GUARD_REFUSALS,
-                         ids=[f"{c[0]}-{i}" for i, c in enumerate(GUARD_REFUSALS)])
+                         ids=[f"{op}-{error.__name__}-{_short(first)}-{_short(second)}"
+                              for op, first, second, error, _ in GUARD_REFUSALS])
 def test_guard_refusal(op, first, second, error, message):
     call = _one_handle_scan if op == "scan" else getattr(sd, op)
     with pytest.raises(error) as err:
@@ -221,6 +233,15 @@ PARAMETER_REFUSALS = [
      "sweep needs one beta per handle (got 2 handles, 1 betas)"),
     ("sweep-theorem-3", lambda: sd.sweep([sd.koebe()], [2.0], TINY_GRID, 3),
      "theorem must be 1 or 2 (got 3)"),
+    # a worker count is an integer >= 1, checked before any work
+    ("run-t1-fractional-threads", lambda: sd.run_t1(sd.koebe(), 2.0, TINY_GRID, 2.5),
+     "threads must be an integer (got 2.5)"),
+    ("run-t2-nan-threads", lambda: sd.run_t2(sd.koebe(), 2.0, TINY_GRID, math.nan),
+     "threads must be an integer (got nan)"),
+    ("run-t1-zero-threads", lambda: sd.run_t1(sd.koebe(), 2.0, TINY_GRID, 0),
+     "threads must be >= 1 (got 0)"),
+    ("run-t2-negative-threads", lambda: sd.run_t2(sd.koebe(), 2.0, TINY_GRID, -3),
+     "threads must be >= 1 (got -3)"),
 ]
 
 
