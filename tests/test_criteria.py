@@ -118,10 +118,6 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
-def _is_real(fh):
-    return all(c.imag == 0.0 for c in fh.coeffs)
-
-
 @pytest.mark.parametrize("theorem", [1, 2])
 def test_run_reductions_equal_those_of_q_and_p_bit_for_bit(theorem):
     # every handle kind, and circles inside and at the edge of the small-z
@@ -135,7 +131,7 @@ def test_run_reductions_equal_those_of_q_and_p_bit_for_bit(theorem):
         hyp, con = run(fh, 2.5, grid)
         for r, h, c in zip(grid.radii, hyp.per_radius, con.per_radius):
             z = grid.circle(r)
-            if _is_real(fh):
+            if all(c.imag == 0.0 for c in fh.coeffs):
                 z = z[:grid.angular_count // 2 + 1]
             re_p = sd.convexity_p(fh, z).real
             i = pick(re_p)
@@ -151,7 +147,7 @@ def test_complex_coefficients_keep_the_full_circle():
     grid = sd.SamplingGrid((0.5, 0.9), 256)
     hyp, _ = sd.run_t1(sd.series((0.3j,)), 2.5, grid)
     for r, h in zip(grid.radii, hyp.per_radius):
-        assert h.witness == grid.circle(r)[3 * 256 // 4]
+        assert h.witness == grid.circle(r)[3 * grid.angular_count // 4]
         assert h.witness.imag < 0.0
 
 

@@ -111,8 +111,9 @@ def test_functionals_are_conjugate_symmetric(fh, r, theta):
 
 def _mirrored_circle(grid, r):
     """The grid's angles 0..n//2 on |z| = r, followed by the exact conjugates
-    of the rest of their mirror pairs: a full circle of n points on which
-    a conjugate-symmetric value repeats to the last bit."""
+    of the rest of their mirror pairs: a full circle of n points made of
+    exact mirror pairs, unlike grid.circle, whose e^{i theta} and
+    e^{-i theta} differ in the last bits."""
     n = grid.angular_count
     half = grid.circle(r)[:n // 2 + 1]
     return np.concatenate([half, np.conj(half[1:(n + 1) // 2])[::-1]])
