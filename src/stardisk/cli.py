@@ -327,12 +327,13 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_grid_args(sp) -> None:
+def _add_grid_args(sp, radii_note="") -> None:
     sp.add_argument(
         "--radii",
         type=_radii_arg,
         default=DEFAULT_RADII,
-        help="comma-separated radii in (0,1), strictly increasing (default 0.5,0.9,0.99)",
+        help="comma-separated radii in (0,1), strictly increasing (default 0.5,0.9,0.99)"
+        + radii_note,
     )
     sp.add_argument(
         "--angles",
@@ -386,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--beta-max", type=float, required=True,
                        help=NEGATIVE_HELP.format("--beta-max"))
     sweep.add_argument("--steps", type=int, required=True)
-    _add_grid_args(sweep)
+    _add_grid_args(sweep, "; sweep scans only the largest, r_max: it counts the zeros "
+                   "of f', f/z and the Mobius denominator inside it, exits 1 on any, "
+                   "and so certifies the disk |z| < r_max")
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     scan = sub.add_parser(

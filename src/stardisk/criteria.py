@@ -41,6 +41,10 @@ T2_BETA_MAX = 1e150
 # scans a block of power handles together.  Passes of 2**16 points were no
 # faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
+# A zero count reads the phase step between neighbouring samples; an arc
+# whose step exceeds STEP_MAX is halved, at most HALVINGS times.
+STEP_MAX = np.pi / 2
+HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -162,29 +166,129 @@ def _reports(theorem, radii, bound, w0, extreme, witness, max_abs_w, min_re_q, s
     return hyp, con
 
 
-def _scan(theorem, handles, betas, z, lg):
+def _zero_count(v, value_at, r, n, what):
+    """The zeros inside |z| < r of an analytic function, one count per row
+    of v, its values at the scanned angles theta_j = 2 pi j / n of |z| = r:
+    the winding number of the closed circle about 0, the sum of the phase
+    steps angle(v[j+1] conj v[j]) over 2 pi (the argument principle).
+
+    v holds all n angles, or the n//2 + 1 of theta in [0, pi] for a
+    function with real coefficients, whose steps on [pi, 2 pi] mirror
+    those on [0, pi]: these are counted twice, plus, for odd n, the step
+    from theta_{n//2} to its mirror image, where the value is conj v.
+    A step above STEP_MAX is refined by halving its arc, the midpoints of
+    every such (row, arc) pair at once through value_at(rows, z); an arc
+    still unresolved after HALVINGS halvings raises ParameterDomainError.
+    """
+    m = v.shape[-1]
+    # arc j runs from theta_j to theta_{j+1}; a last arc m - 1 closes the
+    # full circle or, for odd n, crosses pi to the mirror image of theta_{m-1}
+    n_arcs = m if m == n or n % 2 else m - 1
+    step = np.empty((len(v), n_arcs))
+    # angle(z) is arctan2(z.imag, z.real); one complex temporary at a time
+    prod = np.conjugate(v[:, :-1])
+    prod *= v[:, 1:]
+    np.arctan2(prod.imag, prod.real, out=step[:, :m - 1])
+    del prod
+    if n_arcs == m:
+        prod = (v[:, :1] if m == n else v[:, -1:].conj()) * v[:, -1:].conj()
+        np.arctan2(prod.imag, prod.real, out=step[:, m - 1:])
+    weight = np.full(n_arcs, 1.0 if m == n else 2.0)
+    weight[m - 1:] = 1.0  # the closing or mirror step, taken once
+    coarse = np.abs(step) > STEP_MAX
+    step[coarse] = 0.0
+    turn = step @ weight
+    rows, arcs = np.nonzero(coarse)
+    theta, wt = 2.0 * np.pi * arcs / n, weight[arcs]
+    va, vb = v[rows, arcs], v[rows, (arcs + 1) % m]
+    if m < n:  # the mirror arc ends at conj v[m - 1]
+        vb = np.where(arcs == m - 1, va.conj(), vb)
+    h = 2.0 * np.pi / n
+    for _ in range(HALVINGS):
+        if not rows.size:
+            break
+        h /= 2.0
+        vm = value_at(rows, r * np.exp(1j * (theta + h)))
+        rows, wt, theta = np.tile(rows, 2), np.tile(wt, 2), np.concatenate([theta, theta + h])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+        d = np.angle(vb * va.conj())
+        fine = np.abs(d) <= STEP_MAX
+        np.add.at(turn, rows[fine], wt[fine] * d[fine])
+        rows, wt, theta, va, vb = (x[~fine] for x in (rows, wt, theta, va, vb))
+    if rows.size:
+        raise ParameterDomainError(
+            f"the phase of {what} on |z| = {r} turns by more than pi/2 between "
+            f"points 1/{2**HALVINGS} of a step apart at {n} angles; use more angles"
+        )
+    return np.rint(turn / (2.0 * np.pi)).astype(int)
+
+
+def _scan(theorem, handles, betas, z, lg, certify=None):
     """The _reduce results of the handles at their betas on one circle z,
     from the jet of one handle or of a block of power handles as one
     (betas x angles) array over lg = Log(1 - z), which has no small-z patch
     (z must keep |z| > SMALL_Z).  The guard of p runs first, so a circle
     holding zeros of both f' and f raises CriticalPointError, and each jet
-    array is dropped once used."""
+    array is dropped once used.
+
+    certify = (r, n) counts, after each guard, the zeros inside z = r e^{i
+    theta} (see _zero_count) of f', of f/z and of the Mobius denominator
+    (q - beta for theorem 1, 1 - beta q for theorem 2); a nonzero count
+    raises the error of that guard, naming the count and r.
+    """
+    b = np.asarray(betas)
     if len(handles) == 1:
         # through the module, where a span tracer may have replaced eval_jet
         f, df, d2f = analytic_core.eval_jet(handles[0], z[None])
+
+        def jet(rows, x):
+            return analytic_core.eval_jet(handles[0], x)
     else:
         _require_in_disk(z)
-        f, df, d2f = _power_jet(np.array([fh.mu for fh in handles])[:, None], lg)
+        mu = np.array([fh.mu for fh in handles])
+        f, df, d2f = _power_jet(mu[:, None], lg)
+
+        def jet(rows, x):
+            return _power_jet(mu[rows], log_one_minus(x))
+    if theorem == 1:
+        def denominator(beta, q):
+            return q - beta
+        invert, pole = mobius_invert_t1, "q - beta"
+    else:
+        def denominator(beta, q):
+            return 1.0 - beta * q
+        invert, pole = mobius_invert_t2, "1 - beta q"
+
+    def certify_zero_free(values, value_at, what, error, reason):
+        # values() on z, value_at(rows, x) at refinement points x
+        if certify is None:
+            return
+        k = _zero_count(values(), value_at, *certify, what)
+        bad = np.flatnonzero(k)
+        if bad.size:
+            i = bad[0]
+            raise error(f"{what} has {k[i]} zero{'' if k[i] == 1 else 's'} in "
+                        f"|z| < {certify[0]}{reason.format(b[i])}")
+
+    def den_at(rows, x):
+        fx, dfx = jet(rows, x)[:2]
+        return denominator(b[rows], x * dfx / fx)
+
     p = _p_from_jet(z, df, d2f)
     del d2f
+    certify_zero_free(lambda: df, lambda rows, x: jet(rows, x)[1], "f'", CriticalPointError,
+                      "; 1 + z f''/f' is singular there")
     q = _q_from_jet(handles[0], z, f, df)
+    certify_zero_free(lambda: f / z, lambda rows, x: jet(rows, x)[0] / x, "f/z",
+                      FunctionZeroError, "; z f'/f is singular there and f cannot be starlike")
     del f, df
-    b = np.asarray(betas)[:, None]
-    invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
-    return _reduce(theorem, b, z, q, p, invert(b, q))
+    w = invert(b[:, None], q)
+    certify_zero_free(lambda: denominator(b[:, None], q), den_at, pole, PoleError,
+                      " (beta = {:g}); the inverse map has a pole there")
+    return _reduce(theorem, b[:, None], z, q, p, w)
 
 
-def _run(handles, betas, grid, theorem, threads=1):
+def _run(handles, betas, grid, theorem, threads=1, certify=False):
     """The report pairs of the handles at their betas, equal to one run per
     beta.  The thread count and every bound are checked before any work.
 
@@ -201,16 +305,19 @@ def _run(handles, betas, grid, theorem, threads=1):
     order, so the reports do not depend on the worker count.  Log(1 - z)
     is computed once, and only when a block holds several betas.  Such a
     block is replayed beta by beta when a guard fires, so the first error
-    is that of the per-beta loop.
+    is that of the per-beta loop.  With certify, every circle also counts
+    the zeros inside it of f', f/z and the Mobius denominator (see _scan),
+    and a nonzero count is a guard that fires.
     """
     threads = _integer(threads, "threads")
     if threads < 1:
         raise ParameterDomainError(f"threads must be >= 1 (got {threads})")
     bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
+    n = grid.angular_count
     unit = np.exp(1j * grid.angles())
     if all(c.imag == 0.0 for fh in handles for c in fh.coeffs):
-        unit = unit[:grid.angular_count // 2 + 1]
-    block = SWEEP_BLOCK_POINTS // grid.angular_count
+        unit = unit[:n // 2 + 1]
+    block = SWEEP_BLOCK_POINTS // n
     # |r e^{i theta}| can round below r, so the test is on the points
     if (len(handles) < 2 or block < 2 or any(fh.kind != "power" for fh in handles)
             or np.abs(grid.radii[0] * unit).min() <= SMALL_Z):
@@ -222,7 +329,9 @@ def _run(handles, betas, grid, theorem, threads=1):
         hs, bs = handles[lo:lo + block], betas[lo:lo + block]
 
         def scan(i):
-            return _scan(theorem, hs, bs, grid.radii[i] * unit, None if lg is None else lg[i])
+            r = grid.radii[i]
+            return _scan(theorem, hs, bs, r * unit, None if lg is None else lg[i],
+                         (r, n) if certify else None)
 
         try:
             if threads > 1:
@@ -237,7 +346,7 @@ def _run(handles, betas, grid, theorem, threads=1):
             if len(hs) == 1:
                 raise
             for fh, b in zip(hs, bs):
-                out += _run([fh], [b], grid, theorem, threads)
+                out += _run([fh], [b], grid, theorem, threads, certify)
             continue
         # each reduction as a (betas x radii) list of Python scalars
         cols = [np.array(col).T.tolist() for col in zip(*rows)]
@@ -248,11 +357,24 @@ def _run(handles, betas, grid, theorem, threads=1):
 
 def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     """[run_t1 or run_t2 (by theorem) at (handle, beta)] for each pair of
-    handles and betas, equal to the per-beta calls, on one thread.
+    handles and betas on the largest circle of the grid alone, r_max =
+    grid.radii[-1]: each report has that one row.
+
+    The disk inside it is certified first, by the argument principle: on
+    |z| = r_max, the zeros inside of f', of f/z and of the Mobius
+    denominator (q - beta for theorem 1, 1 - beta q for theorem 2) are
+    counted, and a nonzero count raises CriticalPointError,
+    FunctionZeroError or PoleError, in that order, naming the count and
+    r_max.  So f is locally univalent and zero-free on 0 < |z| < r_max and
+    w has no pole there, and the maximum principle puts the extremes of
+    Re p, |w| and Re q over the disk on that circle.  A phase step the
+    halvings of _zero_count cannot resolve raises ParameterDomainError.
+    Where no count fires, the result equals the per-beta run_t1/run_t2
+    calls on SamplingGrid((r_max,), grid.angular_count).
 
     The theorem, the list lengths and every bound are checked before any
     work.  _run scans blocks of power handles together, one array pass per
-    circle, and nothing is returned before every beta is done.
+    block, on one thread, and nothing is returned before every beta is done.
     """
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
@@ -260,7 +382,8 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
         raise ParameterDomainError(
             f"sweep needs one beta per handle (got {len(handles)} handles, {len(betas)} betas)"
         )
-    return _run(handles, betas, grid, theorem)
+    outer = SamplingGrid(grid.radii[-1:], grid.angular_count)
+    return _run(handles, betas, outer, theorem, certify=True)
 
 
 def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):

@@ -380,8 +380,10 @@ def _handles(family, betas):
 
 
 def _per_beta(handles, betas, grid, theorem, threads=1):
+    """The per-beta runs a sweep on grid equals: on its largest circle."""
     run = sd.run_t1 if theorem == 1 else sd.run_t2
-    return [run(fh, b, grid, threads) for fh, b in zip(handles, betas)]
+    outer = sd.SamplingGrid(grid.radii[-1:], grid.angular_count)
+    return [run(fh, b, outer, threads) for fh, b in zip(handles, betas)]
 
 
 def _steps(lo, hi, n):
@@ -419,15 +421,15 @@ def _block_sizes(monkeypatch, handles, betas, grid, theorem):
     sizes = []
     real = criteria._scan
 
-    def spy(theorem, handles, *args):
+    def spy(theorem, handles, betas, z, *args):
+        # one pass per group, on the largest circle alone
+        assert np.allclose(np.abs(z), grid.radii[-1], rtol=1e-15, atol=0.0)
         sizes.append(len(handles))
-        return real(theorem, handles, *args)
+        return real(theorem, handles, betas, z, *args)
 
     monkeypatch.setattr(criteria, "_scan", spy)
     assert sd.sweep(handles, betas, grid, theorem) == expected
-    # one pass per circle, circle by circle within a group
-    assert sizes == [n for n in sizes[::len(grid.radii)] for _ in grid.radii]
-    return sizes[::len(grid.radii)]
+    return sizes
 
 
 # SMALL_Z < r, but |r e^{i theta}| rounds to SMALL_Z or below at some angles
@@ -438,10 +440,10 @@ ROUNDS_TO_SMALL_Z = float(np.nextafter(analytic_core.SMALL_Z, 1.0))
     ((0.3, 0.6, 0.9), 512, [2.5], [1]),  # steps = 1
     ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [16, 7]),
     ((0.5, 0.9, 0.99), 4096, [2.1, 2.5, 2.9], [2, 1]),
-    ((1e-7, 0.5), 256, [2.1, 2.5], [1, 1]),  # |z| <= SMALL_Z: one beta at a time
+    ((1e-7,), 256, [2.1, 2.5], [1, 1]),  # |z| <= SMALL_Z: one beta at a time
     ((0.5, 0.9, 0.99), 8192, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta fills a pass
     ((0.5, 0.9, 0.99), 16384, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta > the budget
-    ((ROUNDS_TO_SMALL_Z, 0.5), 256, [2.1, 2.5], [1, 1]),
+    ((ROUNDS_TO_SMALL_Z,), 256, [2.1, 2.5], [1, 1]),
 ])
 def test_sweep_block_edges(monkeypatch, radii, angles, betas, sizes):
     grid = sd.SamplingGrid(radii, angles)
@@ -465,41 +467,44 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# Guard margins of ex1_high on small_grid, per circle r = 0.3 / 0.6 / 0.9:
-# min|f'| is 0.81 / 0.58 / 0.25 at beta = 2.25 and falls with beta to
-# 0.77 / 0.51 / 0.18 at 2.15; min|f| on r = 0.3 falls from 0.297 (2.9) to
-# 0.266 (2.15); min|q - beta| is 1.17 / 1.12 / 1.07 at 2.25, 1.11 / 1.05 /
-# 1.00 at 2.2 and 1.06 / 0.98 / 0.93 at 2.15.  So raised tolerances make
-# the guards fire part way along a descending sweep.  The per-beta scan
-# checks the circles in order, p guard, q guard, then pole on each; a group
-# of 16 betas (2.9 down to 2.15) checks each circle for all of them first.
+# Guard margins of ex1_high on the r = 0.9 circle of small_grid, the only
+# one a sweep scans: min|f'| is 0.25 at beta = 2.25 and falls with beta to
+# 0.18 at 2.15; min|f| falls from 0.866 (2.9) to 0.52 (2.05); min|q - beta|
+# is 1.88 at 2.9, 1.07 at 2.25 and 1.00 at 2.2.  Only above beta ~ 2.87 is
+# min|f| below min|f'|: on HIGH, min|f| falls from 0.8966 (2.99) through
+# 0.8950 (2.985) and 0.8797 (2.94) to 0.8676 (2.905), min|f'| from 0.99 to
+# 0.9028 (2.915) and 0.8915 (2.905), min|q - beta| from 1.989 through 1.948
+# (2.955).  So raised tolerances make the guards fire part way along a
+# descending sweep.  The per-beta scan checks the p guard, the q guard,
+# then the pole of each beta in turn; a group of 16 betas checks each
+# guard for all of them first.
 DESCENDING = [2.9 - 0.05 * k for k in range(18)]  # groups 2.9-2.15, 2.1-2.05
+HIGH = [2.99 - 0.005 * k for k in range(18)]  # groups 2.99-2.915, 2.91-2.905
 # The guard fires at the beta in the comment.  Bar the fifth case, a group
 # pass meets the per-beta error first here as well.
 GUARD_CASES = [
     # (ZERO_TOL, POLE_TOL, betas, error the per-beta loop raises)
     (0.24, None, DESCENDING, CriticalPointError),  # 2.2
-    (0.2925, None, DESCENDING, FunctionZeroError),  # 2.7
+    (0.8805, None, HIGH, FunctionZeroError),  # 2.94
     (None, 1.05, DESCENDING, PoleError),  # 2.2
-    (0.28, None, DESCENDING, FunctionZeroError),  # q guard 2.4, p guard 2.25
-    # pole of 2.25 on r = 0.9; the pole of 2.15 on r = 0.3 comes first in
-    # the group, as would the p guard of 2.2 on r = 0.9
+    # q guard 2.985; the p guard of 2.905 is in the next group
+    (0.8958, None, HIGH, FunctionZeroError),
+    # pole of 2.25; the p guard of 2.2 comes first in the group
     (0.24, 1.1, DESCENDING, PoleError),
-    # one beta: q guard on r = 0.3 before p guard on r = 0.9 ...
-    (0.27, None, DESCENDING[::-1], FunctionZeroError),
-    # ... and both on r = 0.3 (min|f'| = 0.72 there at 2.05): p guard first
+    # one beta: its q guard fires, its p guard does not ...
+    (0.88, None, HIGH[::-1], FunctionZeroError),
+    # ... and both fire (min|f'| = 0.12, min|f| = 0.52 at 2.05): p guard first
     (0.75, None, DESCENDING[::-1], CriticalPointError),
-    (0.3, 1.9, DESCENDING, FunctionZeroError),  # q guard and pole at 2.9
+    (0.9, 2.0, HIGH, FunctionZeroError),  # q guard and pole at 2.99
 ]
 # Each of these raises another error unless the group is replayed.
 REPLAY_CASES = [
-    # 2.2 has its pole on r = 0.9 only; the later 2.15 has one on r = 0.6
-    (None, 1.0, DESCENDING, PoleError),
-    # p guard of 2.25 on r = 0.9; pole of 2.15 on r = 0.6
-    (0.26, 1.0, DESCENDING, CriticalPointError),
-    # q guard of 2.9 on r = 0.3; the p guard of 2.15 on the same circle
-    # comes first in the group
-    (0.775, None, DESCENDING, FunctionZeroError),
+    # pole of 2.955; the q guard of 2.94 comes first in the group
+    (0.8805, 1.951, HIGH, PoleError),
+    # pole of 2.9; the p guard of 2.15 comes first in the group
+    (0.2, 1.9, DESCENDING, PoleError),
+    # q guard of 2.9; the p guard of 2.85 comes first in the group
+    (0.87, None, DESCENDING, FunctionZeroError),
 ]
 
 

@@ -10,6 +10,8 @@ when verify and sweep began scanning theta in [0, pi] for real
 coefficients: verify_t1_quadratic, sweep_t1_builtin_quadratic,
 sweep_t1_ex1_high and sweep_t1_ex1_low_multiblock.  Only max_abs_w and
 schwarz_ratio changed, on circles where w = z exactly, each closer to r.
+sweep_t1_halfplane_pole was regenerated when sweep began to certify the
+disk inside its largest circle: its stderr names the count of the pole.
 
 Regenerate (only when a report change is intended) with
 
@@ -77,6 +79,7 @@ CASES = {
     "sweep_t1_builtin_quadratic": [
         "sweep", "--theorem", "1", "--family", "builtin_quadratic", "--beta-min", "1.5",
         "--beta-max", "2.5", "--steps", "5", "--angles", "256"],
+    # q = 1/(1 - z) = 2 at z = 1/2, inside |z| < 0.9: one pole of w
     "sweep_t1_halfplane_pole": [
         "sweep", "--theorem", "1", "--family", "builtin_halfplane", "--beta-min", "2",
         "--beta-max", "2.5", "--steps", "2", "--radii", "0.5,0.9", "--angles", "64"],

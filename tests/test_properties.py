@@ -1,7 +1,9 @@
-"""Property tests: the sweep equals its per-beta runs on any thread count,
-the Mobius maps of both theorems invert the target map, z f'/f and
-1 + z f''/f' of a function with real coefficients are conjugate symmetric,
-and a run over theta in [0, pi] gives the full circle's reductions."""
+"""Property tests: the sweep equals the per-beta runs, on any thread count,
+on its largest circle; the Mobius maps of both theorems invert the target
+map; z f'/f and 1 + z f''/f' of a function with real coefficients are
+conjugate symmetric; a run over theta in [0, pi] gives the full
+circle's reductions; and the sweep's zero counts equal the roots inside
+its largest circle."""
 
 import math
 
@@ -9,10 +11,16 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import stardisk as sd  # noqa: E402
 from stardisk.errors import CriticalPointError, FunctionZeroError, PoleError  # noqa: E402
+from zero_count_oracle import (  # noqa: E402
+    closest_root,
+    expected,
+    series_from_critical_points,
+    swept,
+)
 
 GUARD_ERRORS = (CriticalPointError, FunctionZeroError, PoleError)
 
@@ -68,8 +76,10 @@ def test_sweep_equals_the_per_beta_runs_whatever_the_blocks(family, data, grid, 
     betas = data.draw(beta_lists(family))
     handles = [sd.make_family(sd.FamilySpec(family, b)) for b in betas]
     got = _outcome(lambda: sd.sweep(handles, betas, grid, theorem))
+    # the sweep scans the largest circle alone
+    outer = sd.SamplingGrid(grid.radii[-1:], grid.angular_count)
     assert got == _outcome(
-        lambda: [run(h, b, grid, threads) for h, b in zip(handles, betas)])
+        lambda: [run(h, b, outer, threads) for h, b in zip(handles, betas)])
 
 
 @PROPERTY
@@ -164,3 +174,34 @@ def test_half_circle_runs_give_the_full_circle_reductions(fh, grid, theorem, dat
             got.append(beta / (beta + 1.0) - c.disk_slack)
         for value, (reference, scale) in zip(got, want):
             assert abs(value - reference) <= 4.0 * np.spacing(scale), (value, reference)
+
+
+@st.composite
+def critical_factors(draw):
+    """1-3 factors of f' for series_from_critical_points, each a real root,
+    a conjugate pair (both keep the coefficients real) or one complex root
+    rho = m e^{i phi} (a complex coefficient: the full circle is scanned)."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        m, phi = draw(st.floats(0.1, 3.0)), draw(st.floats(0.0, 2.0 * math.pi))
+        kind = draw(st.sampled_from(("real", "pair", "complex")))
+        if kind == "real":
+            factors.append([1.0, -math.copysign(1.0, math.cos(phi)) / m])
+        elif kind == "pair":
+            factors.append([1.0, -2.0 * math.cos(phi) / m, 1.0 / m**2])
+        else:
+            factors.append([1.0, -complex(math.cos(phi), -math.sin(phi)) / m])
+    return factors
+
+
+@PROPERTY
+@given(factors=critical_factors(), theorem=st.sampled_from([1, 2]), data=st.data(),
+       r=st.floats(0.3, 0.99), angles=st.integers(128, 1024))
+def test_sweep_zero_counts_equal_the_roots_inside(factors, theorem, data, r, angles):
+    beta = data.draw(T1_BETAS if theorem == 1 else T2_BETAS)
+    fh = series_from_critical_points(factors)
+    # a root this far from the circle turns the phase of its polynomial by
+    # under 3 pi / 2 on any arc of 2 pi / 128, so no step aliases
+    assume(closest_root(fh, beta, theorem, r) > 0.05)
+    grid = sd.SamplingGrid((0.5 * r, r), angles)
+    assert swept(fh, beta, theorem, grid) == expected(fh, beta, theorem, r)

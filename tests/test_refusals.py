@@ -5,7 +5,8 @@ closed forms; the guard table covers the off-disk, zero, critical-point and
 Mobius-pole checks on scalar, 0-d and array input and in the grid scan of
 one handle, where the message names the first offending entry in row-major
 order; the parameter table covers sample counts, non-finite handle
-parameters, a sweep's theorem and list lengths, and a run's thread count.
+parameters, a sweep's theorem and list lengths, a sweep's zero count whose
+arcs stay unresolved, and a run's thread count.
 """
 
 import math
@@ -233,6 +234,13 @@ PARAMETER_REFUSALS = [
      "sweep needs one beta per handle (got 2 handles, 1 betas)"),
     ("sweep-theorem-3", lambda: sd.sweep([sd.koebe()], [2.0], TINY_GRID, 3),
      "theorem must be 1 or 2 (got 3)"),
+    # a zero count whose phase still turns by more than pi/2 on an arc
+    # 1/1024 of a step long: 1 - 0.999999 is below that arc's length
+    ("sweep-unresolved-phase",
+     lambda: sd.sweep([sd.make_family(sd.FamilySpec("ex2_neg", -2.0))], [-2.0],
+                      sd.SamplingGrid((0.999999,), 8), 2),
+     "the phase of f' on |z| = 0.999999 turns by more than pi/2 between points "
+     "1/1024 of a step apart at 8 angles; use more angles"),
     # a worker count is an integer >= 1, checked before any work
     ("run-t1-fractional-threads", lambda: sd.run_t1(sd.koebe(), 2.0, TINY_GRID, 2.5),
      "threads must be an integer (got 2.5)"),

@@ -1,0 +1,114 @@
+"""The sweep's disk certificate: zero counts of f', f/z and the Mobius
+denominator on the largest circle, each equal to the roots inside it that
+polyroots finds (tests/zero_count_oracle.py) or to a closed form."""
+
+import math
+
+import numpy as np
+import pytest
+
+import stardisk as sd
+from stardisk import criteria
+from stardisk.cli import main as run_cli
+from stardisk.errors import CriticalPointError, FunctionZeroError, PoleError
+
+from zero_count_oracle import expected, series_from_critical_points, swept
+
+# f = z - 5 z^2: f' vanishes at 0.1 and f at 0.2, both inside r_max = 0.99,
+# yet no grid point comes within 1e-14 of either
+Z_MINUS_5Z2 = sd.series((-5.0,))
+# f' = (1 - z/0.9i)(1 - z/(0.05 + 0.85i)): two critical points near the top
+# of the disk.  Twice the phase turn of f' over theta in [0, pi] reads about
+# 2 x 1.45 turns, so a half-circle count would name 3 zeros.
+TWO_NEAR_THE_TOP = series_from_critical_points(
+    [[1.0, -1.0 / 0.9j], [1.0, -1.0 / (0.05 + 0.85j)]])
+# f' = (1 + z/0.98)^2: a double critical point next to z = -0.99, where the
+# phase of f' turns by about 3.5 across theta = pi, in the one step from
+# theta_128 to its mirror image at 257 angles
+DOUBLE_NEAR_MINUS_ONE = series_from_critical_points([[1.0, 1.0 / 0.98]] * 2)
+# (e^{8z} - 1)/8 to degree 40: f' has no zero near the disk, but f/z
+# vanishes at z = +-pi i/4, inside |z| < 0.9
+EXP_8Z = sd.series(tuple(8.0**(n - 1) / math.factorial(n) for n in range(2, 41)))
+
+SERIES_ROWS = [
+    # (handle, theorem, beta, radii, angles, error and count)
+    (Z_MINUS_5Z2, 1, 2.0, (0.5, 0.9, 0.99), 4096, (CriticalPointError, 1)),
+    (Z_MINUS_5Z2, 2, 2.0, (0.5, 0.9, 0.99), 4096, (CriticalPointError, 1)),
+    (Z_MINUS_5Z2, 2, -3.0, (0.5, 0.9, 0.99), 257, (CriticalPointError, 1)),
+    # a complex coefficient: counted on the full circle, and nothing inside
+    (sd.series((0.3j,)), 1, 2.0, (0.99,), 256, None),
+    (sd.series((0.3j,)), 2, 2.0, (0.99,), 257, None),
+    (TWO_NEAR_THE_TOP, 1, 2.0, (0.95,), 256, (CriticalPointError, 2)),
+    (TWO_NEAR_THE_TOP, 2, -2.0, (0.95,), 257, (CriticalPointError, 2)),
+    (DOUBLE_NEAR_MINUS_ONE, 1, 2.0, (0.99,), 257, (CriticalPointError, 2)),
+    (DOUBLE_NEAR_MINUS_ONE, 1, 2.0, (0.99,), 256, (CriticalPointError, 2)),
+    (EXP_8Z, 1, 2.0, (0.9,), 256, (FunctionZeroError, 2)),
+    (EXP_8Z, 2, -2.0, (0.9,), 257, (FunctionZeroError, 2)),
+    # z - z^2/2: f' vanishes at 1 only, and q = 1/2 at z = 2/3
+    (sd.quadratic(), 1, 2.0, (0.99,), 256, None),
+    (sd.quadratic(), 2, 2.0, (0.99,), 256, (PoleError, 1)),
+    (sd.quadratic(), 2, 2.0, (0.6,), 257, None),
+]
+
+
+@pytest.mark.parametrize("fh, theorem, beta, radii, angles, outcome", SERIES_ROWS)
+def test_series_counts_equal_the_roots_inside(fh, theorem, beta, radii, angles, outcome):
+    assert expected(fh, beta, theorem, radii[-1]) == outcome
+    assert swept(fh, beta, theorem, sd.SamplingGrid(radii, angles)) == outcome
+
+
+def test_the_certificate_names_the_count_and_r_max():
+    for theorem in (1, 2):
+        with pytest.raises(CriticalPointError) as err:
+            sd.sweep([Z_MINUS_5Z2], [2.0], sd.default_grid(), theorem)
+        assert str(err.value) == (
+            "f' has 1 zero in |z| < 0.99; 1 + z f''/f' is singular there")
+    # whereas run_t2 scans for the hypothesis and finds it satisfied
+    assert sd.run_t2(Z_MINUS_5Z2, 2.0, sd.default_grid())[0].satisfied
+
+
+@pytest.mark.parametrize("angles", [256, 257])
+def test_koebe_has_its_theorem_1_pole_inside(angles):
+    # q = (1 + z)/(1 - z) = beta at z = (beta - 1)/(beta + 1) = 1/3
+    grid = sd.SamplingGrid((0.5, 0.9, 0.99), angles)
+    with pytest.raises(PoleError) as err:
+        sd.sweep([sd.koebe()], [2.0], grid, 1)
+    assert str(err.value) == (
+        "q - beta has 1 zero in |z| < 0.99 (beta = 2); the inverse map has a pole there")
+
+
+@pytest.mark.parametrize("angles", [256, 257])
+def test_koebe_f_prime_counts_no_zero_where_the_phase_races(monkeypatch, angles):
+    # f' = (1 + z)/(1 - z)^3 turns by about 3.5 between the samples next to
+    # z = 0.99, which the sampled step reads as -2.8: unrefined, the count
+    # of f' is -2
+    z = 0.99 * np.exp(1j * sd.SamplingGrid((0.99,), angles).angles())
+    df = sd.eval_jet(sd.koebe(), z).df
+
+    def df_at(rows, x):
+        return sd.eval_jet(sd.koebe(), x).df
+
+    for v in (df[None, :angles // 2 + 1], df[None]):
+        assert criteria._zero_count(v, df_at, 0.99, angles, "f'").tolist() == [0]
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "STEP_MAX", np.pi)  # no step is refined
+            assert criteria._zero_count(v, df_at, 0.99, angles, "f'").tolist() == [-2]
+    # 1 + q = 2/(1 - z) has no zero: theorem 2 at beta = -1 certifies
+    assert swept(sd.koebe(), -1.0, 2, sd.SamplingGrid((0.99,), angles)) is None
+
+
+def test_ex2_neg_near_the_unit_circle_resolves_its_arcs(capsys):
+    argv = ["sweep", "--theorem", "2", "--family", "ex2_neg", "--beta-min=-3",
+            "--beta-max=-1", "--steps", "3", "--radii", "0.5,0.999", "--angles", "64"]
+    assert run_cli(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("family, theorem, beta", [
+    ("builtin_koebe", 1, "2"), ("builtin_halfplane", 1, "2"), ("builtin_quadratic", 2, "2"),
+])
+def test_cli_sweep_exits_1_on_a_pole_inside(capsys, family, theorem, beta):
+    argv = ["sweep", "--theorem", str(theorem), "--family", family, "--beta-min", beta,
+            "--beta-max", "2.5", "--steps", "2"]
+    assert run_cli(argv) == 1
+    assert "has 1 zero in |z| < 0.99 (beta = 2)" in capsys.readouterr().err
