@@ -133,10 +133,19 @@ def schwarz_from_spec(spec: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to stdout, or to the path out; a path that cannot be
+    written (a directory, a missing parent) raises ParameterDomainError
+    naming it, and leaves no temporary file behind."""
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
+    try:
+        _write(text, Path(out))
+    except OSError as exc:
+        raise ParameterDomainError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _write(text: str, path: Path) -> None:
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:

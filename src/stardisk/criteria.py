@@ -37,9 +37,10 @@ from .search import golden_max, golden_min, refine_extremum
 # Theorem 2's bound and boundary value multiply beta^2 by small constants,
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
 T2_BETA_MAX = 1e150
-# Grid points (betas x angles) of one array pass over one circle when _run
-# scans a block of power handles together.  Passes of 2**16 points were no
-# faster and raised the peak RSS by 11 MB.
+# A sweep scans SWEEP_BLOCK_POINTS // angular_count power handles in one
+# array pass over its circle, of block x (angular_count // 2 + 1) points
+# (power handles have real coefficients), about half of this.  Full-circle
+# passes of 2**16 points were no faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
 # A zero count reads the phase step between neighbouring samples; an arc
 # whose step exceeds STEP_MAX is halved, at most HALVINGS times.
@@ -288,71 +289,47 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
     return _reduce(theorem, b[:, None], z, q, p, w)
 
 
-def _run(handles, betas, grid, theorem, threads=1, certify=False):
-    """The report pairs of the handles at their betas, equal to one run per
-    beta.  The thread count and every bound are checked before any work.
+def _unit(handles, grid):
+    """e^{i theta_j} at the angles a scan of the handles covers.
 
     When every handle has real Taylor coefficients, f(conj z) = conj f(z),
     so Re p, Re q, |w| and |q - c| take the same value at theta and -theta:
     only the angles theta_j, j = 0..angular_count // 2, which hold one
     angle of each mirror pair, are scanned (theta in [0, pi]).  A series
     with a complex coefficient scans the full circle.
+    """
+    half = all(c.imag == 0.0 for fh in handles for c in fh.coeffs)
+    return np.exp(1j * grid.angles())[:grid.angular_count // 2 + 1 if half else None]
 
-    When every handle is power-form and every grid point has |z| > SMALL_Z,
-    the betas are scanned in blocks of SWEEP_BLOCK_POINTS // angular_count,
-    else one at a time.  Each block is scanned circle by circle, on a
-    thread pool over the radii when threads > 1; pool.map keeps their
-    order, so the reports do not depend on the worker count.  Log(1 - z)
-    is computed once, and only when a block holds several betas.  Such a
-    block is replayed beta by beta when a guard fires, so the first error
-    is that of the per-beta loop.  With certify, every circle also counts
-    the zeros inside it of f', f/z and the Mobius denominator (see _scan),
-    and a nonzero count is a guard that fires.
+
+def _run(fh, beta, grid, theorem, threads):
+    """The (HypothesisReport, ConclusionReport) of fh at beta on every
+    circle of the grid, at the angles of _unit.  The thread count and the
+    bound are checked before any work.  The circles are scanned one by one,
+    on a thread pool over the radii when threads > 1; pool.map keeps their
+    order, so the reports do not depend on the worker count.
     """
     threads = _integer(threads, "threads")
     if threads < 1:
         raise ParameterDomainError(f"threads must be >= 1 (got {threads})")
-    bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
-    n = grid.angular_count
-    unit = np.exp(1j * grid.angles())
-    if all(c.imag == 0.0 for fh in handles for c in fh.coeffs):
-        unit = unit[:n // 2 + 1]
-    block = SWEEP_BLOCK_POINTS // n
-    # |r e^{i theta}| can round below r, so the test is on the points
-    if (len(handles) < 2 or block < 2 or any(fh.kind != "power" for fh in handles)
-            or np.abs(grid.radii[0] * unit).min() <= SMALL_Z):
-        block = 1
-    lg = log_one_minus(np.asarray(grid.radii)[:, None] * unit) if block > 1 else None
+    bound = (t1_bound if theorem == 1 else t2_bound)(beta)
+    unit = _unit([fh], grid)
+
+    def scan(r):
+        return _scan(theorem, [fh], [beta], r * unit, None)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(scan, grid.radii))
+    else:
+        rows = [scan(r) for r in grid.radii]
+    # q(0) = 1 + a_2 * 0 has real part exactly 1 for every handle, so
+    # w(0) needs no jet; the check still raises the pole of beta -> 1.
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
-    out = []
-    for lo in range(0, len(handles), block):
-        hs, bs = handles[lo:lo + block], betas[lo:lo + block]
-
-        def scan(i):
-            r = grid.radii[i]
-            return _scan(theorem, hs, bs, r * unit, None if lg is None else lg[i],
-                         (r, n) if certify else None)
-
-        try:
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    rows = list(pool.map(scan, range(len(grid.radii))))
-            else:
-                rows = [scan(i) for i in range(len(grid.radii))]
-            # q(0) = 1 + a_2 * 0 has real part exactly 1 for every handle, so
-            # w(0) needs no jet; the check still raises the pole of beta -> 1.
-            w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
-        except (CriticalPointError, FunctionZeroError, PoleError):
-            if len(hs) == 1:
-                raise
-            for fh, b in zip(hs, bs):
-                out += _run([fh], [b], grid, theorem, threads, certify)
-            continue
-        # each reduction as a (betas x radii) list of Python scalars
-        cols = [np.array(col).T.tolist() for col in zip(*rows)]
-        for j, w in enumerate(w0.tolist()):
-            out.append(_reports(theorem, grid.radii, bounds[lo + j], w, *(c[j] for c in cols)))
-    return out
+    w0 = invert(np.asarray([beta]), np.ones(1, dtype=complex)).item()
+    # each reduction as a per-radius list of Python scalars
+    return _reports(theorem, grid.radii, bound, w0,
+                    *(np.concatenate(col).tolist() for col in zip(*rows)))
 
 
 def sweep(handles, betas, grid: SamplingGrid, theorem: int):
@@ -373,17 +350,46 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     calls on SamplingGrid((r_max,), grid.angular_count).
 
     The theorem, the list lengths and every bound are checked before any
-    work.  _run scans blocks of power handles together, one array pass per
-    block, on one thread, and nothing is returned before every beta is done.
+    work.  When every handle is power-form and every point of the circle
+    has |z| > SMALL_Z, the betas are scanned in blocks of
+    SWEEP_BLOCK_POINTS // angular_count, one (betas x angles) array pass
+    over Log(1 - z) per block, else one at a time, all on one thread.  A
+    block where a guard fires is replayed beta by beta, so the error raised
+    is that of the first beta that fails alone.  Nothing is returned before
+    every beta is done.
     """
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
     if len(handles) != len(betas):
-        raise ParameterDomainError(
-            f"sweep needs one beta per handle (got {len(handles)} handles, {len(betas)} betas)"
-        )
-    outer = SamplingGrid(grid.radii[-1:], grid.angular_count)
-    return _run(handles, betas, outer, theorem, certify=True)
+        raise ParameterDomainError(f"sweep needs one beta per handle (got {len(handles)} "
+                                   f"handles, {len(betas)} betas)")
+    bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
+    r, n = grid.radii[-1], grid.angular_count
+    z = r * _unit(handles, grid)
+    # |r e^{i theta}| can round below r, so the test is on the points
+    batched = (len(handles) > 1 and SWEEP_BLOCK_POINTS // n > 1
+               and all(fh.kind == "power" for fh in handles) and np.abs(z).min() > SMALL_Z)
+    block = SWEEP_BLOCK_POINTS // n if batched else 1
+    lg = log_one_minus(z) if batched else None
+    invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
+    out = []
+    for lo in range(0, len(handles), block):
+        hs, bs = handles[lo:lo + block], betas[lo:lo + block]
+        try:
+            reduced = _scan(theorem, hs, bs, z, lg, (r, n))
+            w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
+        except (CriticalPointError, FunctionZeroError, PoleError):
+            # the first beta that fails alone raises its own error, else the
+            # block's is raised; a block of one is not replayed, or this recurses
+            if len(hs) > 1:
+                for fh, b in zip(hs, bs):
+                    sweep([fh], [b], grid, theorem)
+            raise
+        # a report pair per beta: its bound, w(0) and its one-row lists of
+        # each reduction, as Python scalars
+        rows = zip(bounds[lo:lo + block], w0.tolist(), *(c[:, None].tolist() for c in reduced))
+        out += (_reports(theorem, (r,), *row) for row in rows)
+    return out
 
 
 def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
@@ -394,7 +400,7 @@ def run_t1(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1
     with a complex coefficient on the full circle; threads is an integer
     >= 1.
     """
-    return _run([fh], [beta], grid, 1, threads)[0]
+    return _run(fh, beta, grid, 1, threads)
 
 
 def run_t2(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1):
@@ -402,7 +408,7 @@ def run_t2(fh: FunctionHandle, beta: float, grid: SamplingGrid, threads: int = 1
     (w = mobius_invert_t2(beta, z f'/f) a Schwarz function; starlikeness
     order target (beta+1)/(2 beta)).  Scanned on theta in [0, pi] or the
     full circle as run_t1 is."""
-    return _run([fh], [beta], grid, 2, threads)[0]
+    return _run(fh, beta, grid, 2, threads)
 
 
 def order_of_starlikeness(fh: FunctionHandle, grid: SamplingGrid) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -578,6 +579,25 @@ def test_an_overwritten_report_keeps_its_mode_and_is_renamed_into_place(tmp_path
     assert out.stat().st_ino != inode  # a new file, renamed over the old one
     assert out.read_text().startswith("w monomial")
     assert os.listdir(tmp_path) == ["j.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5"] + FAST,
+    ["proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "256"],
+], ids=["verify", "proof-scan"])
+@pytest.mark.parametrize("target, code", [
+    ("dir", errno.EISDIR), ("missing/r.json", errno.ENOENT),
+], ids=["directory", "missing-parent"])
+def test_out_that_cannot_be_written_exit_code(tmp_path, capsys, argv, target, code):
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
+    assert captured.out == ""
+    # no temporary file is left behind, in the directory or next to it
+    assert os.listdir(tmp_path) == ["dir"]
+    assert os.listdir(tmp_path / "dir") == []
 
 
 # ------------------------------------------------------ python -m entry points

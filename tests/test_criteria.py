@@ -151,6 +151,27 @@ def test_complex_coefficients_keep_the_full_circle():
         assert h.witness.imag < 0.0
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("family, points", [
+    ("ex1_high", 257),  # real coefficients: theta in [0, pi]
+    ("complex", 512),  # z + 0.3i z^2: the full circle
+])
+def test_run_evaluates_one_jet_per_circle(monkeypatch, family, points, threads):
+    # 3 x 257 jet points for the 3 x 512 grid points of ex1_high: 0.502 each
+    fh = (sd.series((0.3j,)) if family == "complex"
+          else sd.make_family(sd.FamilySpec(family, 2.5)))
+    sizes = []
+    real = analytic_core.eval_jet
+
+    def spy(handle, z):
+        sizes.append(np.size(z))
+        return real(handle, z)
+
+    monkeypatch.setattr(analytic_core, "eval_jet", spy)
+    sd.run_t1(fh, 2.5, sd.SamplingGrid((0.5, 0.9, 0.99), 512), threads)
+    assert sizes == [points] * 3
+
+
 # ------------------------------------------------------------------ theorem 2
 
 def test_run_t2_halfplane_case(grid):
@@ -413,6 +434,25 @@ def test_sweep_equals_the_per_beta_runs(small_grid, case, threads):
     handles = _handles(case.removesuffix("_mixed"), betas)
     got = sd.sweep(handles, betas, small_grid, theorem)
     assert got == _per_beta(handles, betas, small_grid, theorem, threads)
+
+
+def test_sweep_builds_no_thread_pool(monkeypatch, small_grid):
+    built = []
+
+    class Pool(criteria.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "ThreadPoolExecutor", Pool)
+    # blocks of power handles, and one beta at a time
+    for case in ("ex1_high", "ex2_pos_mixed"):
+        theorem, betas = SWEEP_CASES[case]
+        sd.sweep(_handles(case.removesuffix("_mixed"), betas), betas, small_grid, theorem)
+    assert built == []
+    # whereas a run on two threads builds one
+    sd.run_t1(sd.make_family(sd.FamilySpec("ex1_high", 2.5)), 2.5, small_grid, 2)
+    assert built == [{"max_workers": 2}]
 
 
 def _block_sizes(monkeypatch, handles, betas, grid, theorem):

@@ -112,3 +112,52 @@ def test_cli_sweep_exits_1_on_a_pole_inside(capsys, family, theorem, beta):
             "--beta-max", "2.5", "--steps", "2"]
     assert run_cli(argv) == 1
     assert "has 1 zero in |z| < 0.99 (beta = 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho, angles, outcome", [
+    (1.005, 130, None),
+    (0.985, 258, (PoleError, 2)),
+])
+def test_the_denominator_count_refines_its_arcs(monkeypatch, rho, angles, outcome):
+    # f = z + a z^3 has q = (1 + 3a z^2)/(1 + a z^2), so q - 1.2 vanishes at
+    # z^2 = 0.2/(1.8 a) = -rho^2: at +-i rho, just outside or inside r = 0.99,
+    # where the phase of q - beta races past the samples
+    fh = sd.series((0.0, -0.2 / (1.8 * rho**2)))
+    refined = []
+    real = criteria._zero_count
+
+    def spy(v, value_at, r, n, what):
+        def at(rows, x):
+            refined.append(what)
+            return value_at(rows, x)
+        return real(v, at, r, n, what)
+
+    monkeypatch.setattr(criteria, "_zero_count", spy)
+    assert expected(fh, 1.2, 1, 0.99) == outcome
+    assert swept(fh, 1.2, 1, sd.SamplingGrid((0.99,), angles)) == outcome
+    # one halving of the coarse arcs of the denominator, and of nothing else
+    assert refined == ["q - beta"]
+    if outcome:
+        with pytest.raises(PoleError) as err:
+            sd.sweep([fh], [1.2], sd.SamplingGrid((0.99,), angles), 1)
+        assert str(err.value) == (
+            "q - beta has 2 zeros in |z| < 0.99 (beta = 1.2); the inverse map has a pole there")
+
+
+# f' = (1 + z/0.985)^2: a double critical point 0.005 inside r = 0.99, where
+# the phase of f' turns by 3 pi / 2 or more between two samples at 257 angles
+# and aliases to a step below STEP_MAX, which no halving revisits
+DOUBLE_AT_MINUS_0985 = series_from_critical_points([[1.0, 1.0 / 0.985]] * 2)
+
+
+@pytest.mark.parametrize("angles", [
+    256,
+    pytest.param(257, marks=pytest.mark.xfail(strict=True, reason=(
+        "a sampled phase step that aliases below pi/2 is never refined: counts 1, "
+        "not 2, until the zero counts run on certified arcs (ROADMAP item 3)"))),
+    1024,
+])
+def test_a_double_critical_point_next_to_the_circle_counts_2(angles):
+    assert expected(DOUBLE_AT_MINUS_0985, 2.0, 1, 0.99) == (CriticalPointError, 2)
+    grid = sd.SamplingGrid((0.99,), angles)
+    assert swept(DOUBLE_AT_MINUS_0985, 2.0, 1, grid) == (CriticalPointError, 2)
