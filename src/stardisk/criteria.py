@@ -176,34 +176,28 @@ def _zero_count(v, value_at, r, n, what):
     v holds all n angles, or the n//2 + 1 of theta in [0, pi] for a
     function with real coefficients, whose steps on [pi, 2 pi] mirror
     those on [0, pi]: these are counted twice, plus, for odd n, the step
-    from theta_{n//2} to its mirror image, where the value is conj v.
+    from theta_{n//2} to its mirror image.  Each row is first closed by
+    v[0] or, at that mirror image, by conj v[n//2], so every arc, the
+    closing one too, runs between two stored samples.
     A step above STEP_MAX is refined by halving its arc, the midpoints of
     every such (row, arc) pair at once through value_at(rows, z); an arc
     still unresolved after HALVINGS halvings raises ParameterDomainError.
     """
     m = v.shape[-1]
-    # arc j runs from theta_j to theta_{j+1}; a last arc m - 1 closes the
-    # full circle or, for odd n, crosses pi to the mirror image of theta_{m-1}
-    n_arcs = m if m == n or n % 2 else m - 1
-    step = np.empty((len(v), n_arcs))
-    # angle(z) is arctan2(z.imag, z.real); one complex temporary at a time
-    prod = np.conjugate(v[:, :-1])
-    prod *= v[:, 1:]
-    np.arctan2(prod.imag, prod.real, out=step[:, :m - 1])
-    del prod
-    if n_arcs == m:
-        prod = (v[:, :1] if m == n else v[:, -1:].conj()) * v[:, -1:].conj()
-        np.arctan2(prod.imag, prod.real, out=step[:, m - 1:])
-    weight = np.full(n_arcs, 1.0 if m == n else 2.0)
+    if m == n:
+        v = np.concatenate([v, v[:, :1]], axis=1)
+    elif n % 2:
+        v = np.concatenate([v, v[:, -1:].conj()], axis=1)
+    # arc j runs from theta_j to theta_{j+1}
+    step = np.angle(v[:, 1:] * v[:, :-1].conj())
+    weight = np.full(step.shape[1], 1.0 if m == n else 2.0)
     weight[m - 1:] = 1.0  # the closing or mirror step, taken once
     coarse = np.abs(step) > STEP_MAX
     step[coarse] = 0.0
     turn = step @ weight
     rows, arcs = np.nonzero(coarse)
     theta, wt = 2.0 * np.pi * arcs / n, weight[arcs]
-    va, vb = v[rows, arcs], v[rows, (arcs + 1) % m]
-    if m < n:  # the mirror arc ends at conj v[m - 1]
-        vb = np.where(arcs == m - 1, va.conj(), vb)
+    va, vb = v[rows, arcs], v[rows, arcs + 1]
     h = 2.0 * np.pi / n
     for _ in range(HALVINGS):
         if not rows.size:

@@ -521,6 +521,24 @@ def test_tolerance_outside_its_interval_exit_code(capsys, argv, tol):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--theorem", "1", "--family", "ex1_high", "--beta-min", "2", "--beta-max", "2.5",
+      "--steps", "0"], "error: --steps must be >= 1 (got 0)"),
+    (["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5", "--radii", "0.5,x"],
+     "stardisk verify: error: argument --radii: bad radii list '0.5,x'"),
+    (["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5", "--threads", "x"],
+     "stardisk verify: error: argument --threads: must be an integer >= 1 (got 'x')"),
+], ids=["steps-0", "radii-not-a-number", "threads-not-a-number"])
+def test_malformed_steps_radii_or_threads_exit_code(capsys, argv, message):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    # argparse prints its usage lines first; the sweep's own check prints one line
+    lines = captured.err.splitlines()
+    assert lines[-1] == message
+    assert len(lines) == 1 or lines[0].startswith("usage: stardisk verify")
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------- --out targets
 
 JACK = ["jack", "--w", "monomial:3", "--r", "0.9", "--n", "256"]
@@ -598,6 +616,21 @@ def test_out_that_cannot_be_written_exit_code(tmp_path, capsys, argv, target, co
     # no temporary file is left behind, in the directory or next to it
     assert os.listdir(tmp_path) == ["dir"]
     assert os.listdir(tmp_path / "dir") == []
+
+
+def test_a_failed_rename_leaves_no_temporary_file_and_the_old_report(tmp_path, capsys,
+                                                                     monkeypatch):
+    out = tmp_path / "j.txt"
+    out.write_text("old report")
+
+    def replace(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert run_cli(JACK + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert os.listdir(tmp_path) == ["j.txt"]
+    assert out.read_bytes() == b"old report"
 
 
 # ------------------------------------------------------ python -m entry points

@@ -97,7 +97,7 @@ CASES = {
     # beta * beta == 1: the boundary value is the constant 1/2 + 1/(2 beta)
     "proof_scan_t2_beta_minus_one": [
         "proof-scan", "--theorem", "2", "--beta=-1"],
-    # the k-term cancels 1/2 + 1/(2 beta) to 0.0 (ROADMAP item 6); pinned as is
+    # the k-term cancels 1/2 + 1/(2 beta) to 0.0 (ROADMAP item 10); pinned as is
     "proof_scan_t2_beta_1e150": [
         "proof-scan", "--theorem", "2", "--beta", "1e150"],
     # just inside theorem 1's interval, on an odd step count

@@ -4,9 +4,10 @@ The family-spec table runs each spec through make_family and through both
 closed forms; the guard table covers the off-disk, zero, critical-point and
 Mobius-pole checks on scalar, 0-d and array input and in the grid scan of
 one handle, where the message names the first offending entry in row-major
-order; the parameter table covers sample counts, non-finite handle
-parameters, a sweep's theorem and list lengths, a sweep's zero count whose
-arcs stay unresolved, and a run's thread count.
+order; the parameter table covers sample counts, handle kinds and
+parameters, an empty radius list, a non-parametric family's exponent, a
+sweep's theorem and list lengths, a sweep's zero count whose arcs stay
+unresolved, and a run's thread count.
 """
 
 import math
@@ -224,6 +225,13 @@ PARAMETER_REFUSALS = [
      "series coefficients must be finite (got a_2 = (nan+0j))"),
     ("series-inf", lambda: sd.series([0.5, complex(0.0, math.inf)]),
      "series coefficients must be finite (got a_3 = infj)"),
+    ("handle-unknown-kind", lambda: sd.FunctionHandle("bogus", "x"),
+     "unknown handle kind 'bogus'"),
+    ("power-zero-mu", lambda: sd.FunctionHandle("power", "x", mu=0.0),
+     "power handles need mu != 0; use kind='log'"),
+    ("grid-no-radius", lambda: sd.SamplingGrid(()), "at least one radius is required"),
+    ("power-exponent-builtin", lambda: sd.power_exponent("builtin_koebe", 2.0),
+     "'builtin_koebe' is not a parametric family id"),
     ("power-nan-mu", lambda: sd.FunctionHandle("power", "x", mu=math.nan),
      "handles need a finite mu (got nan)"),
     ("power-inf-mu", lambda: sd.FunctionHandle("power", "x", mu=-math.inf),

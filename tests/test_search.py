@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from stardisk.search import golden_max, golden_min, refine_extremum
 
@@ -101,3 +102,9 @@ def test_golden_min_and_golden_max_mirror_each_other():
     x_max, v_max = golden_max(lambda t: -fun(t), 0.0, 1.0)
     assert (x_min, v_min) == (x_max, -v_max)
     assert abs(x_min - 0.3) <= 1e-6
+
+
+def test_golden_min_needs_a_bracket_of_positive_length():
+    with pytest.raises(ValueError) as err:
+        golden_min(math.cos, 1.0, 1.0)
+    assert str(err.value) == "golden_min needs b > a"

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 import stardisk as sd
 from stardisk import criteria
 from stardisk.cli import main as run_cli
 from stardisk.errors import CriticalPointError, FunctionZeroError, PoleError
 
-from zero_count_oracle import expected, series_from_critical_points, swept
+from zero_count_oracle import expected, polynomials, series_from_critical_points, swept
 
 # f = z - 5 z^2: f' vanishes at 0.1 and f at 0.2, both inside r_max = 0.99,
 # yet no grid point comes within 1e-14 of either
@@ -161,3 +162,43 @@ def test_a_double_critical_point_next_to_the_circle_counts_2(angles):
     assert expected(DOUBLE_AT_MINUS_0985, 2.0, 1, 0.99) == (CriticalPointError, 2)
     grid = sd.SamplingGrid((0.99,), angles)
     assert swept(DOUBLE_AT_MINUS_0985, 2.0, 1, grid) == (CriticalPointError, 2)
+
+
+# (1 - z/z0)(1 - z/conj z0) with z0 = 0.985 e^{i(pi - 0.005)}, as [1, c1, c2]:
+# a conjugate pair inside r = 0.99 next to z = -0.99.  At 257 angles the arc
+# from theta_128 across pi to its mirror image turns the phase of a function
+# vanishing there by more than pi, so a half-circle count that drops that
+# step, or ends it at v instead of conj v, is off by 1.
+PAIR = npp.polyfromroots(0.985 * np.exp([1j * (np.pi - 0.005), -1j * (np.pi - 0.005)])).real
+PAIR = PAIR / PAIR[0]
+MIRROR_BETA = 1.5
+
+
+@pytest.mark.parametrize("fh, counts", [
+    # f' = PAIR
+    (series_from_critical_points([PAIR]), [2, 0, 1]),
+    # f/z = PAIR; q has poles at its two zeros
+    (sd.series(tuple(PAIR[1:])), [2, 2, 0]),
+    # (z f' - beta f)/z = (1 - beta) PAIR
+    (sd.series(tuple((1.0 - MIRROR_BETA) * PAIR[1:] / (np.arange(2, 4) - MIRROR_BETA))),
+     [1, 1, 1]),
+], ids=["f'", "f/z", "q - beta"])
+@pytest.mark.parametrize("angles", [256, 257])
+def test_the_half_circle_counts_what_the_full_circle_counts(fh, counts, angles):
+    # counts of f', f/z and q - beta, the last being the zeros of
+    # z f' - beta f inside minus those of f, as polyroots finds them
+    roots = [int(np.sum(np.abs(npp.polyroots(p)) < 0.99))
+             for p in polynomials(fh, MIRROR_BETA, 1)]
+    assert counts == [roots[0], roots[1], roots[2] - roots[1]]
+
+    def values(x):
+        f, df, _ = sd.eval_jet(fh, x)
+        return np.stack([df, f / x, x * df / f - MIRROR_BETA])
+
+    def value_at(rows, x):
+        return values(x)[rows, np.arange(len(x))]
+
+    v = values(0.99 * np.exp(1j * sd.SamplingGrid((0.99,), angles).angles()))
+    assert criteria._zero_count(v, value_at, 0.99, angles, "v").tolist() == counts
+    half = v[:, :angles // 2 + 1]
+    assert criteria._zero_count(half, value_at, 0.99, angles, "v").tolist() == counts
