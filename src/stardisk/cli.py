@@ -2,6 +2,9 @@
 scans, Jack probes, and SVG phase plots.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or domain error.
+The parser checks only that a value parses; the library function that
+takes it refuses a value outside its range, and the type of the error it
+raises picks the exit code: 2 for a domain error, 1 for a failed check.
 Reports serialize deterministically: fixed field order and shortest
 round-trip float formatting, so identical flags give byte-identical output
 (duration_ms stays 0.0 unless --timing is passed).
@@ -38,14 +41,7 @@ from .criteria import (
     t1_bound,
     t2_bound,
 )
-from .errors import (
-    CriticalPointError,
-    DegenerateSchwarzError,
-    DiskDomainError,
-    FunctionZeroError,
-    ParameterDomainError,
-    PoleError,
-)
+from .errors import ParameterDomainError, StardiskError
 from .families import PARAMETRIC_FAMILIES, FamilySpec, _canonical_int, make_family
 from . import jack as jack_mod
 from .svgplot import DEFAULT_WINDOW, render_curves
@@ -72,16 +68,6 @@ def _radii_arg(text: str):
         return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad radii list '{text}'") from None
-
-
-def _threads_arg(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1 (got '{text}')")
-    return threads
 
 
 def _tol_arg(text: str) -> float:
@@ -320,10 +306,10 @@ def cmd_jack(args) -> int:
 def cmd_plot(args) -> int:
     handle = handle_from_name(args.family, args.beta)
     grid = SamplingGrid(args.radii, args.angles)
-    # the beta domain checks: the target disk's, then the theorem's
+    # the theorem's beta interval first: theorem 1's lies inside the target disk's
     if args.theorem == 1:
-        disk = target_disk(args.beta)
         t1_bound(args.beta)
+        disk = target_disk(args.beta)
         region = {"circle": (disk.center, disk.radius)}
     else:
         t2_bound(args.beta)
@@ -372,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--beta", type=float, required=True,
                         help=NEGATIVE_HELP.format("--beta"))
     _add_grid_args(verify)
-    verify.add_argument("--threads", type=_threads_arg, default=1,
+    verify.add_argument("--threads", type=int, default=1,
                         help="worker threads, >= 1, splitting the radii; "
                         "reports do not depend on the count")
     verify.add_argument(
@@ -455,12 +441,11 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ParameterDomainError, DiskDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FunctionZeroError, CriticalPointError, PoleError, DegenerateSchwarzError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    except StardiskError as exc:
+        # errors.py makes every domain error a ValueError and no failed check one
+        domain = isinstance(exc, ValueError)
+        print(f"{'error' if domain else 'check failed'}: {exc}", file=sys.stderr)
+        return 2 if domain else 1
 
 
 def run() -> None:

@@ -84,8 +84,6 @@ def induced(theorem: int, handle: FunctionHandle, beta: float) -> SchwarzFunctio
     """The Schwarz candidate a theorem run induces from z f'/f."""
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
-    if not -np.inf < beta < np.inf:
-        raise ParameterDomainError(f"induced w needs -inf < beta < inf (got {beta:g})")
     (t1_bound if theorem == 1 else t2_bound)(beta)  # the theorem's beta interval
     return SchwarzFunction(
         kind="induced",

@@ -357,11 +357,20 @@ def test_plot_non_finite_beta_exit_code(tmp_path, capsys):
     out = tmp_path / "p.svg"
     base = ["--radii", "0.9", "--angles", "256", "--out", str(out)]
     _rejected(["plot", "--theorem", "1", "--family", "builtin_koebe", "--beta", "inf"]
-              + base, capsys, "1 < beta < inf")
+              + base, capsys, "theorem 1 needs 1 < beta < 3 (got inf)")
     _rejected(["plot", "--theorem", "1", "--family", "ex2_pos", "--beta", "1e300"]
               + base, capsys, "finite exponent mu")
     _rejected(["plot", "--theorem", "2", "--family", "builtin_halfplane",
                "--beta", "inf"] + base, capsys, "1 < beta <= 1e+150")
+    assert not out.exists()
+
+
+def test_plot_theorem_1_refuses_beta_below_its_interval_by_the_theorem(tmp_path, capsys):
+    # theorem 1's interval, not the wider one of the target disk, names the refusal
+    out = tmp_path / "p.svg"
+    assert run_cli(["plot", "--theorem", "1", "--family", "builtin_koebe", "--beta", "0.5",
+                    "--radii", "0.9", "--angles", "64", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: theorem 1 needs 1 < beta < 3 (got 0.5)\n"
     assert not out.exists()
 
 
@@ -377,7 +386,7 @@ def test_jack_non_finite_beta_exit_code(capsys):
     _rejected(["jack", "--w", "induced:t2:ex2_pos:inf", "--r", "0.9"], capsys,
               "beta > 1")
     _rejected(["jack", "--w", "induced:t2:builtin_halfplane:inf", "--r", "0.9"],
-              capsys, "-inf < beta < inf")
+              capsys, "theorem 2 needs -1e+150 <= beta <= -1 or 1 < beta <= 1e+150 (got inf)")
 
 
 @pytest.mark.parametrize("w, interval", [
@@ -504,7 +513,8 @@ def test_threads_below_one_exit_code(capsys, threads):
     code = run_cli(["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
                     "--threads", threads] + FAST)
     assert code == 2
-    assert "--threads: must be an integer >= 1" in capsys.readouterr().err
+    # argparse reads the integer; run_t1 refuses it, before any work
+    assert capsys.readouterr().err == f"error: threads must be >= 1 (got {threads})\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
@@ -527,7 +537,7 @@ def test_tolerance_outside_its_interval_exit_code(capsys, argv, tol):
     (["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5", "--radii", "0.5,x"],
      "stardisk verify: error: argument --radii: bad radii list '0.5,x'"),
     (["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5", "--threads", "x"],
-     "stardisk verify: error: argument --threads: must be an integer >= 1 (got 'x')"),
+     "stardisk verify: error: argument --threads: invalid int value: 'x'"),
 ], ids=["steps-0", "radii-not-a-number", "threads-not-a-number"])
 def test_malformed_steps_radii_or_threads_exit_code(capsys, argv, message):
     assert run_cli(argv) == 2

@@ -149,6 +149,6 @@ def test_induced_checks_its_theorem_beta_interval():
         sd.induced(1, sd.koebe(), 7.0)
     with pytest.raises(ParameterDomainError, match=r"1 < beta <= 1e\+150 \(got 0.5\)$"):
         sd.induced(2, sd.halfplane(), 0.5)
-    # the finite check comes first and names its own interval
-    with pytest.raises(ParameterDomainError, match=r"^induced w needs -inf < beta < inf"):
+    # a non-finite beta lies outside both intervals, and the theorem names its own
+    with pytest.raises(ParameterDomainError, match=r"^theorem 1 needs 1 < beta < 3 \(got inf\)$"):
         sd.induced(1, sd.koebe(), float("inf"))
