@@ -1,9 +1,13 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stardisk as sd
+from stardisk import cli
 from stardisk.errors import (
     DegenerateSchwarzError,
     DiskDomainError,
@@ -55,6 +59,24 @@ def test_probe_monomials_exact():
             probe = sd.jack_probe(sd.schwarz_monomial(n), r)
             assert abs(probe.k_estimate - n) <= 1e-6
             assert abs(probe.ratio.imag) <= 1e-6
+
+
+def test_probe_monomial_ratio_is_its_order():
+    # Cauchy's formula leaves only rounding, of order eps / h, h = (1 - r)/10
+    for n in range(1, 9):
+        for r in (0.5, 0.9, 0.99, 0.999999):
+            probe = sd.jack_probe(sd.schwarz_monomial(n), r)
+            assert abs(probe.ratio - n) <= 1e-8, (n, r, probe.ratio)
+
+
+def test_probe_blaschke_ratio_matches_the_analytic_one():
+    rng = np.random.default_rng(0)
+    for a in rng.uniform(-0.6, 0.6, (40, 2)) @ np.array([1.0, 1j]):
+        for r in (0.5, 0.9, 0.99):
+            probe = sd.jack_probe(sd.blaschke(a), r)
+            z0 = r * cmath.exp(1j * probe.theta_star)
+            want = 1.0 + z0 / (z0 - a) + a.conjugate() * z0 / (1.0 - a.conjugate() * z0)
+            assert abs(probe.ratio - want) <= 1e-11, (a, r, probe.ratio, want)
 
 
 def test_probe_blaschke():
@@ -152,3 +174,45 @@ def test_induced_checks_its_theorem_beta_interval():
     # a non-finite beta lies outside both intervals, and the theorem names its own
     with pytest.raises(ParameterDomainError, match=r"^theorem 1 needs 1 < beta < 3 \(got inf\)$"):
         sd.induced(1, sd.koebe(), float("inf"))
+
+
+ORACLES_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+
+
+def test_probe_near_the_small_w_end_passes_the_benchmark_oracle(capsys):
+    # a benchmark jack probe that a central difference of w' measured 1e-4 off
+    beta, r = 2.999995197158482, 0.5492871672021317
+    rc = cli.main(["jack", "--w", f"induced:t1:ex1_high:{beta!r}", f"--r={r!r}"])
+    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES_PATH)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    params = dict(w="induced", theorem=1, family="ex1_high", beta=beta, r=r, n=1024)
+    oracles.check_jack(params, rc, capsys.readouterr().out)
+
+
+def _power_induced_k(mpmath, theorem, mu, beta, z0):
+    """Re z0 w'(z0)/w(z0) to 40 digits, for the w a theorem induces from the
+    power form f = (1 - (1-z)^mu)/mu."""
+    with mpmath.workdps(40):
+        b, m = mpmath.mpf(beta), mpmath.mpf(mu)
+
+        def w(z):
+            u = 1 - z
+            q = m * z * u ** (m - 1) / (1 - u**m)
+            return b * (q - 1) / (q - b) if theorem == 1 else b * (1 - q) / (1 - b * q)
+
+        z = mpmath.mpc(z0)
+        return float((z * mpmath.diff(w, z) / w(z)).real)
+
+
+@pytest.mark.parametrize("theorem, family, beta, r", [
+    (1, "ex1_high", 2.999995197158482, 0.5492871672021317),
+    (1, "ex1_low", 1.0 + 1e-7, 0.9),
+])
+def test_probe_ratio_near_the_small_w_end_matches_mpmath(theorem, family, beta, r):
+    # near the end where w -> 0 the central difference was off by up to 4e-2 here
+    mpmath = pytest.importorskip("mpmath")
+    fh = sd.make_family(sd.FamilySpec(family, beta))
+    probe = sd.jack_probe(sd.induced(theorem, fh, beta), r)
+    want = _power_induced_k(mpmath, theorem, fh.mu, beta, r * cmath.exp(1j * probe.theta_star))
+    assert abs(probe.k_estimate - want) <= 1e-6, (probe.k_estimate, want)
