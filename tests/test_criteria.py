@@ -208,6 +208,32 @@ def test_run_t2_pole_propagates():
         sd.run_t2(sd.koebe(), 3.0, grid)
 
 
+# ------------------------------------------------- closed-form circle extreme
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("angles", [256, 4096])
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.999, 0.999999])
+@pytest.mark.parametrize("family, beta", [
+    (family, beta)
+    for family, betas in (("ex1_high", (2.0, 2.5, 2.99)), ("ex1_low", (1.01, 1.5, 2.0)),
+                          ("ex2_pos", (1.2, 3.0, 7.5)), ("ex2_neg", (-1.0, -2.0, -7.5)))
+    for beta in betas
+])
+def test_power_handle_extreme_is_the_closed_form_at_theta_pi(family, beta, r, angles):
+    # p = 1 - (mu - 1) z/(1 - z), and z/(1 - z) maps |z| = r onto a circle
+    # symmetric about the real axis, so Re p is extreme at z = -r, where
+    # bound - p(-r) = +-(mu - 1)(1 - r)/(2(1 + r)): no grid, jet or Log(1 - z)
+    fh = sd.make_family(sd.FamilySpec(family, beta))
+    runner = sd.run_t1 if family.startswith("ex1") else sd.run_t2
+    hyp, _ = runner(fh, beta, sd.SamplingGrid((r,), angles))
+    assert abs(hyp.per_radius[-1].witness + r) <= 2.0 * EPS
+    want = abs(fh.mu - 1.0) * (1.0 - r) / (2.0 * (1.0 + r))
+    assert abs(hyp.margin_at_rmax - want) <= 4.0 * EPS * max(1.0, abs(hyp.bound)), \
+        (hyp.margin_at_rmax, want)
+
+
 # -------------------------------------------------------------------- orders
 
 def test_order_of_starlikeness_values():
