@@ -4,6 +4,8 @@ and Jack-lemma probes."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analytic_core import (
     DEFAULT_ANGULAR_COUNT,
     DEFAULT_RADII,
@@ -72,4 +74,6 @@ from .jack import (
 )
 from .jack import monomial as schwarz_monomial
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind are not API
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -57,6 +57,12 @@ FAMILY_HELP = (
 # argparse reads "-1e6" after a space as an option, not as a number
 NEGATIVE_HELP = "write a negative value in exponent notation with '=', e.g. {}=-1e6"
 
+# The verdicts' fixed allowances for rounding: the paper's inequalities
+# have no slack, so no flag widens them.
+_SCHWARZ_TOL = 1e-6  # verify: max|w|/r <= 1 + _SCHWARZ_TOL
+_PROOF_TOL = 1e-9  # proof-scan: |extremal_value - bound| <= _PROOF_TOL
+_JACK_TOL = 1e-3  # jack: |Im ratio| <= _JACK_TOL and k >= 1 - _JACK_TOL
+
 
 def _f(x) -> str:
     # shortest round-trip decimal form of a float
@@ -68,16 +74,6 @@ def _radii_arg(text: str):
         return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad radii list '{text}'") from None
-
-
-def _tol_arg(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number in [0, inf) (got '{text}')")
-    return tol
 
 
 def _window_arg(text: str):
@@ -191,11 +187,11 @@ def _conclusion_json(con):
     }
 
 
-def _conclusion_ok(con, schwarz_tol: float) -> bool:
+def _conclusion_ok(con) -> bool:
     ok = abs(con.w_origin) <= 1e-10
     for row in con.per_radius:
         ok = ok and row.max_abs_w < 1.0
-        ok = ok and row.schwarz_ratio <= 1.0 + schwarz_tol
+        ok = ok and row.schwarz_ratio <= 1.0 + _SCHWARZ_TOL
         if row.disk_slack is not None:
             ok = ok and row.disk_slack > 0.0
     return ok
@@ -208,7 +204,7 @@ def cmd_verify(args) -> int:
     runner = run_t1 if args.theorem == 1 else run_t2
     hyp, con = runner(handle, args.beta, grid, threads=args.threads)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
-    passed = hyp.satisfied and _conclusion_ok(con, args.schwarz_tol)
+    passed = hyp.satisfied and _conclusion_ok(con)
     envelope = {
         "version": __version__,
         # threads is an execution knob that must not influence the report,
@@ -220,7 +216,7 @@ def cmd_verify(args) -> int:
             "beta": args.beta,
             "radii": list(grid.radii),
             "angles": grid.angular_count,
-            "schwarz_tol": args.schwarz_tol,
+            "schwarz_tol": _SCHWARZ_TOL,
         },
         "hypothesis": _hypothesis_json(hyp),
         "conclusion": _conclusion_json(con),
@@ -249,7 +245,8 @@ def cmd_sweep(args) -> int:
         betas = [args.beta_min]
     else:
         step = (args.beta_max - args.beta_min) / (args.steps - 1)
-        betas = [args.beta_min + i * step for i in range(args.steps)]
+        # beta_min + (steps - 1) * step can round past beta_max
+        betas = [args.beta_min + i * step for i in range(args.steps - 1)] + [args.beta_max]
     grid = SamplingGrid(args.radii, args.angles)
     # Validate the whole range first (the families here, the bounds in
     # run_sweep) so a straddling range fails before any output is produced.
@@ -280,16 +277,13 @@ def cmd_proof_scan(args) -> int:
         f"abs_difference {_f(diff)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
-    return 0 if diff <= args.tol else 1
+    return 0 if diff <= _PROOF_TOL else 1
 
 
 def cmd_jack(args) -> int:
     w = schwarz_from_spec(args.w)
     probe = jack_mod.jack_probe(w, args.r, args.n)
-    ok = (
-        abs(probe.ratio.imag) <= args.imag_tol
-        and probe.k_estimate >= 1.0 - args.k_tol
-    )
+    ok = abs(probe.ratio.imag) <= _JACK_TOL and probe.k_estimate >= 1.0 - _JACK_TOL
     lines = [
         f"w {w.label} r {_f(args.r)} n {args.n}",
         f"theta_star {_f(probe.theta_star)}",
@@ -362,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads, >= 1, splitting the radii; "
                         "reports do not depend on the count")
     verify.add_argument(
-        "--schwarz-tol",
-        type=_tol_arg,
-        default=1e-6,
-        help="tolerance on max|w|/r <= 1 (default 1e-6)",
-    )
-    verify.add_argument(
         "--timing",
         action="store_true",
         help="record measured duration_ms (breaks byte-determinism of the report)",
@@ -394,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--beta", type=float, required=True,
                       help=NEGATIVE_HELP.format("--beta"))
     scan.add_argument("--theta-steps", type=int, default=4096, help=">= 256")
-    scan.add_argument("--tol", type=_tol_arg, default=1e-9)
     scan.add_argument("--out", default=None)
 
     jackp = sub.add_parser("jack", help="probe the boundary-maximum ratio z w'/w")
@@ -405,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jackp.add_argument("--r", type=float, required=True, help="circle radius in (0,1)")
     jackp.add_argument("--n", type=int, default=1024, help="angular samples, >= 256")
-    jackp.add_argument("--imag-tol", type=_tol_arg, default=1e-3)
-    jackp.add_argument("--k-tol", type=_tol_arg, default=1e-3)
     jackp.add_argument("--out", default=None)
 
     plot = sub.add_parser("plot", help="SVG of the zf'/f image curves and target region")
