@@ -42,7 +42,7 @@ from .criteria import (
     t2_bound,
 )
 from .errors import ParameterDomainError, StardiskError
-from .families import PARAMETRIC_FAMILIES, FamilySpec, _canonical_int, make_family
+from .families import PARAMETRIC_FAMILIES, FamilySpec, _beta_text, _canonical_int, make_family
 from . import jack as jack_mod
 from .svgplot import DEFAULT_WINDOW, render_curves
 
@@ -311,7 +311,8 @@ def cmd_plot(args) -> int:
     unit = np.exp(1j * grid.angles())
     q = starlike_q(handle, np.array(grid.radii)[:, None] * unit)
     curves = [(f"r={r:g}", row) for r, row in zip(grid.radii, q)]
-    title = f"zf'/f image of {handle.label}, theorem {args.theorem}, beta={args.beta:g}"
+    title = (f"zf'/f image of {handle.label}, theorem {args.theorem}, "
+             f"beta={_beta_text(args.beta)}")
     _emit(render_curves(title, curves, window=args.window, **region), args.out)
     return 0
 

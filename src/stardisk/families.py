@@ -71,6 +71,13 @@ def _canonical_int(text: str) -> int:
     return int(text)
 
 
+def _beta_text(beta: float) -> str:
+    """beta in its shortest round-trip digits, less a trailing '.0' (2.5, 2,
+    1.0000001, 1e+150): a label names the exact beta it was built from."""
+    text = repr(float(beta))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def make_family(spec: FamilySpec) -> FunctionHandle:
     """Check spec and build the handle it describes, in one pass.
 
@@ -93,7 +100,7 @@ def make_family(spec: FamilySpec) -> FunctionHandle:
                 f"family {spec.id} needs {interval} with a finite exponent mu "
                 f"(got beta = {spec.beta:g}, mu = {mu:g})"
             )
-        label = f"{spec.id}(beta={spec.beta:g})"
+        label = f"{spec.id}(beta={_beta_text(spec.beta)})"
         if mu == 0.0:
             return FunctionHandle(kind="log", label=label)
         return FunctionHandle(kind="power", label=label, mu=mu)

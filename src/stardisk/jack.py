@@ -23,6 +23,7 @@ from .analytic_core import (
 )
 from .criteria import t1_bound, t2_bound
 from .errors import DegenerateSchwarzError, DiskDomainError, ParameterDomainError
+from .families import _beta_text
 from .search import golden_max, refine_extremum
 
 DEGENERATE_TOL = 1e-13
@@ -87,7 +88,7 @@ def induced(theorem: int, handle: FunctionHandle, beta: float) -> SchwarzFunctio
     (t1_bound if theorem == 1 else t2_bound)(beta)  # the theorem's beta interval
     return SchwarzFunction(
         kind="induced",
-        label=f"induced:t{theorem}:{handle.label}:{beta:g}",
+        label=f"induced:t{theorem}:{handle.label}:{_beta_text(beta)}",
         theorem=theorem,
         handle=handle,
         beta=beta,

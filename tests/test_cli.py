@@ -92,6 +92,18 @@ def test_jack_exit_codes():
     assert run_cli(["jack", "--w", "monomial:3", "--r", "1.5"]) == 2
 
 
+def test_jack_and_plot_name_beta_exactly(tmp_path, capsys):
+    # six significant digits would print beta = 1, outside ex1_low's 1 < beta <= 2
+    assert run_cli(["jack", "--w", "induced:t1:ex1_low:1.0000001", "--r", "0.9"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "w induced:t1:ex1_low(beta=1.0000001):1.0000001 r 0.9 n 1024\n")
+    out = tmp_path / "p.svg"
+    assert run_cli(["plot", "--theorem", "1", "--family", "ex1_low", "--beta", "1.0000001",
+                    "--angles", "64", "--out", str(out)]) == 0
+    assert "image of ex1_low(beta=1.0000001), theorem 1, beta=1.0000001</text>" in \
+        out.read_text()
+
+
 # orders int() reads but str() does not give back: each would make a label
 # that differs from the text given
 BAD_ORDERS = ["3_0", " +2", "+2", "02", "\u0663", "", "-0", "3 "]

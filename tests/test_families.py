@@ -97,6 +97,18 @@ def test_builtin_spec_roundtrip():
         sd.make_family(sd.FamilySpec("no_such_family", 2.0))
 
 
+@pytest.mark.parametrize("family, beta, text", [
+    ("ex1_high", 2.5, "2.5"),
+    ("ex1_high", 2.0, "2"),
+    ("ex1_low", 1.0000001, "1.0000001"),
+    ("ex2_pos", 2.414213562373095, "2.414213562373095"),
+    ("ex2_pos", 1e150, "1e+150"),
+    ("ex2_neg", -1.0, "-1"),
+])
+def test_a_family_label_names_beta_exactly(family, beta, text):
+    assert sd.make_family(sd.FamilySpec(family, beta)).label == f"{family}(beta={text})"
+
+
 def test_monomial_handles():
     ident = sd.monomial(1)
     assert sd.eval_jet(ident, 0.5).f == 0.5

@@ -12,6 +12,8 @@ sweep_t1_ex1_high and sweep_t1_ex1_low_multiblock.  Only max_abs_w and
 schwarz_ratio changed, on circles where w = z exactly, each closer to r.
 sweep_t1_halfplane_pole was regenerated when sweep began to certify the
 disk inside its largest circle: its stderr names the count of the pole.
+verify_t2_ex2_pos_log_limit was regenerated when labels began to name beta
+in its shortest round-trip digits: its stderr reads beta=2.414213562373095.
 
 Regenerate (only when a report change is intended) with
 
