@@ -155,6 +155,13 @@ def _refuse(mask, values, error, message, cast=complex):
         raise error(message.format(cast(np.broadcast_to(values, np.shape(mask))[mask][0])))
 
 
+def _beta_text(x: float) -> str:
+    """x in its shortest round-trip digits, less a trailing '.0' (2.5, 2,
+    1.0000001, 1e+150): a label or a refusal names the exact number."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _integer(value, name):
     """value as an int, which a numpy integer gives too; anything else,
     an integral float included, raises ParameterDomainError naming name."""
@@ -281,7 +288,7 @@ def _mobius(beta, num, den, pole_message, like):
     where |den| < POLE_TOL raises PoleError(pole_message.format(b)), b the
     beta of the first such point (beta broadcasts against den).  A complex
     scalar when like is a scalar."""
-    _refuse(np.abs(den) < POLE_TOL, beta, PoleError, pole_message, float)
+    _refuse(np.abs(den) < POLE_TOL, beta, PoleError, pole_message, _beta_text)
     out = num / den
     return complex(out) if np.ndim(like) == 0 else out
 
@@ -292,7 +299,7 @@ def mobius_target(beta: float, z):
         raise ParameterDomainError("the target map needs beta != 0")
     arr = np.asarray(z, dtype=complex)
     return _mobius(beta, beta * (1.0 - arr), beta - arr,
-                   "z = beta = {:g} is the pole of the target map", z)
+                   "z = beta = {} is the pole of the target map", z)
 
 
 def mobius_invert_t1(beta, q):
@@ -303,7 +310,7 @@ def mobius_invert_t1(beta, q):
     """
     arr = np.asarray(q, dtype=complex)
     return _mobius(beta, beta * (arr - 1.0), arr - beta,
-                   "q = beta = {:g} is the pole of the inverse map", q)
+                   "q = beta = {} is the pole of the inverse map", q)
 
 
 def mobius_invert_t2(beta, q):
@@ -314,7 +321,7 @@ def mobius_invert_t2(beta, q):
     """
     arr = np.asarray(q, dtype=complex)
     return _mobius(beta, beta * (1.0 - arr), 1.0 - beta * arr,
-                   "beta * q = 1 (beta = {:g}) is the pole of the inverse map", q)
+                   "beta * q = 1 (beta = {}) is the pole of the inverse map", q)
 
 
 def target_disk(beta: float) -> DiskSpec:
@@ -324,7 +331,8 @@ def target_disk(beta: float) -> DiskSpec:
     half plane, not this disk.
     """
     if not 1.0 < beta < np.inf:
-        raise ParameterDomainError(f"the target disk needs 1 < beta < inf (got {beta:g})")
+        raise ParameterDomainError(
+            f"the target disk needs 1 < beta < inf (got {_beta_text(beta)})")
     c = beta / (beta + 1.0)
     return DiskSpec(complex(c), c)
 

@@ -29,6 +29,7 @@ from .analytic_core import (
     DEFAULT_RADII,
     FunctionHandle,
     SamplingGrid,
+    _beta_text,
     starlike_q,
     target_disk,
 )
@@ -42,17 +43,15 @@ from .criteria import (
     t2_bound,
 )
 from .errors import ParameterDomainError, StardiskError
-from .families import PARAMETRIC_FAMILIES, FamilySpec, _beta_text, _canonical_int, make_family
+from .families import _PARAMETRIC, BUILTIN_FAMILIES, FamilySpec, _canonical_int, make_family
 from . import jack as jack_mod
 from .svgplot import DEFAULT_WINDOW, render_curves
 
 CSV_HEADER = "beta,bound,extreme_re_p,margin,max_abs_w,order_estimate"
 
-FAMILY_HELP = (
-    "ex1_high (2<=beta<3), ex1_low (1<beta<=2), ex2_pos (beta>1), "
-    "ex2_neg (beta<=-1), builtin_koebe, builtin_halfplane, "
-    "builtin_quadratic, builtin_monomial:N"
-)
+FAMILY_HELP = ", ".join(
+    [f"{name} ({row[1]})" for name, row in _PARAMETRIC.items()]
+    + [name + ":N" if name == "builtin_monomial" else name for name in BUILTIN_FAMILIES])
 
 # argparse reads "-1e6" after a space as an option, not as a number
 NEGATIVE_HELP = "write a negative value in exponent notation with '=', e.g. {}=-1e6"
@@ -87,7 +86,7 @@ def _window_arg(text: str):
 
 def handle_from_name(name: str, beta: float | None) -> FunctionHandle:
     """Resolve a --family value (parametric id with beta, or builtin name)."""
-    return make_family(FamilySpec(name, beta if name in PARAMETRIC_FAMILIES else None))
+    return make_family(FamilySpec(name, beta if name in _PARAMETRIC else None))
 
 
 def schwarz_from_spec(spec: str):
@@ -310,7 +309,7 @@ def cmd_plot(args) -> int:
         region = {"vline": (args.beta + 1.0) / (2.0 * args.beta)}
     unit = np.exp(1j * grid.angles())
     q = starlike_q(handle, np.array(grid.radii)[:, None] * unit)
-    curves = [(f"r={r:g}", row) for r, row in zip(grid.radii, q)]
+    curves = [(f"r={_beta_text(r)}", row) for r, row in zip(grid.radii, q)]
     title = (f"zf'/f image of {handle.label}, theorem {args.theorem}, "
              f"beta={_beta_text(args.beta)}")
     _emit(render_curves(title, curves, window=args.window, **region), args.out)

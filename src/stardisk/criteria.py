@@ -20,6 +20,7 @@ from .analytic_core import (
     SMALL_Z,
     FunctionHandle,
     SamplingGrid,
+    _beta_text,
     _integer,
     _p_from_jet,
     _power_jet,
@@ -94,20 +95,20 @@ class BoundaryScan:
 
 def _require_t1_beta(beta: float) -> None:
     if not 1.0 < beta < 3.0:
-        raise ParameterDomainError(f"theorem 1 needs 1 < beta < 3 (got {beta:g})")
+        raise ParameterDomainError(f"theorem 1 needs 1 < beta < 3 (got {_beta_text(beta)})")
 
 
 def _require_t2_beta(beta: float) -> None:
     if not (abs(beta) <= T2_BETA_MAX and (beta <= -1.0 or beta > 1.0)):
         raise ParameterDomainError(
             f"theorem 2 needs -{T2_BETA_MAX:g} <= beta <= -1 or "
-            f"1 < beta <= {T2_BETA_MAX:g} (got {beta:g})"
+            f"1 < beta <= {T2_BETA_MAX:g} (got {_beta_text(beta)})"
         )
 
 
 def _require_k(k: float) -> None:
     if k < 1.0:
-        raise ParameterDomainError(f"k must be >= 1 (got {k:g})")
+        raise ParameterDomainError(f"k must be >= 1 (got {_beta_text(k)})")
 
 
 def t1_bound(beta: float) -> float:
@@ -263,7 +264,7 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
         if bad.size:
             i = bad[0]
             raise error(f"{what} has {k[i]} zero{'' if k[i] == 1 else 's'} in "
-                        f"|z| < {certify[0]}{reason.format(b[i])}")
+                        f"|z| < {certify[0]}{reason.format(_beta_text(b[i]))}")
 
     def den_at(rows, x):
         fx, dfx = jet(rows, x)[:2]
@@ -279,7 +280,7 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
     del f, df
     w = invert(b[:, None], q)
     certify_zero_free(lambda: denominator(b[:, None], q), den_at, pole, PoleError,
-                      " (beta = {:g}); the inverse map has a pole there")
+                      " (beta = {}); the inverse map has a pole there")
     return _reduce(theorem, b[:, None], z, q, p, w)
 
 

@@ -5,11 +5,13 @@ Every family is an instance of the single power form
     f(z) = (1/mu) (1 - (1-z)^mu)
 
 with the exponent mu determined by the family id and its shape parameter
-beta.  The families also expose direct closed forms of z f'/f and
-1 + z f''/f', written from beta instead of the jet, as cross-check oracles.
-They share the main path's beta check, mu and mu = 0 log-limit switch (from
-make_family, through _require_parametric) and its log_one_minus, so they
-are not independent of it; ROADMAP item 8 moves them out of the package.
+beta.  Each family is one row of _PARAMETRIC: its beta test, the interval
+that its refusals and the --family help name, and mu(beta).  The families
+also expose direct closed forms of z f'/f and 1 + z f''/f', written from
+beta instead of the jet, as cross-check oracles.  They share the main
+path's beta check, mu and mu = 0 log-limit switch (from make_family,
+through _require_parametric) and its log_one_minus, so they are not
+independent of it; ROADMAP item 8 moves them out of the package.
 
 Builtins (Koebe, half plane, the quadratic z - z^2/2, normalized monomial
 perturbations, truncated series) are known-answer anchors that make the
@@ -23,23 +25,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_core import FunctionHandle, MAX_SERIES_COEFFS, _integer, log_one_minus
+from .analytic_core import FunctionHandle, MAX_SERIES_COEFFS, _beta_text, _integer, log_one_minus
 from .errors import ParameterDomainError
 
-PARAMETRIC_FAMILIES = ("ex1_high", "ex1_low", "ex2_pos", "ex2_neg")
+# id: (beta test, interval text, exponent mu(beta))
+_PARAMETRIC = {
+    "ex1_high": (lambda b: 2.0 <= b < 3.0, "2 <= beta < 3", lambda b: 2.0 / (b - 1.0)),
+    "ex1_low": (lambda b: 1.0 < b <= 2.0, "1 < beta <= 2",
+                lambda b: 2.0 * (2.0 * b - 1.0) / (b + 1.0)),
+    "ex2_pos": (lambda b: b > 1.0, "beta > 1",
+                lambda b: (-b * b + 2.0 * b + 1.0) / (b * (b + 1.0))),
+    "ex2_neg": (lambda b: b <= -1.0, "beta <= -1",
+                lambda b: -(b * b + 1.0) / (b * (b - 1.0))),
+}
+PARAMETRIC_FAMILIES = tuple(_PARAMETRIC)
 BUILTIN_FAMILIES = (
     "builtin_koebe",
     "builtin_halfplane",
     "builtin_quadratic",
     "builtin_monomial",
 )
-
-_INTERVALS = {
-    "ex1_high": (lambda b: 2.0 <= b < 3.0, "2 <= beta < 3"),
-    "ex1_low": (lambda b: 1.0 < b <= 2.0, "1 < beta <= 2"),
-    "ex2_pos": (lambda b: b > 1.0, "beta > 1"),
-    "ex2_neg": (lambda b: b <= -1.0, "beta <= -1"),
-}
 
 
 @dataclass(frozen=True)
@@ -52,15 +57,9 @@ class FamilySpec:
 
 def power_exponent(family_id: str, beta: float) -> float:
     """The exponent mu of the power form for a parametric family at beta."""
-    if family_id == "ex1_high":
-        return 2.0 / (beta - 1.0)
-    if family_id == "ex1_low":
-        return 2.0 * (2.0 * beta - 1.0) / (beta + 1.0)
-    if family_id == "ex2_pos":
-        return (-beta * beta + 2.0 * beta + 1.0) / (beta * (beta + 1.0))
-    if family_id == "ex2_neg":
-        return -(beta * beta + 1.0) / (beta * (beta - 1.0))
-    raise ParameterDomainError(f"'{family_id}' is not a parametric family id")
+    if family_id not in _PARAMETRIC:
+        raise ParameterDomainError(f"'{family_id}' is not a parametric family id")
+    return _PARAMETRIC[family_id][2](beta)
 
 
 def _canonical_int(text: str) -> int:
@@ -71,13 +70,6 @@ def _canonical_int(text: str) -> int:
     return int(text)
 
 
-def _beta_text(beta: float) -> str:
-    """beta in its shortest round-trip digits, less a trailing '.0' (2.5, 2,
-    1.0000001, 1e+150): a label names the exact beta it was built from."""
-    text = repr(float(beta))
-    return text[:-2] if text.endswith(".0") else text
-
-
 def make_family(spec: FamilySpec) -> FunctionHandle:
     """Check spec and build the handle it describes, in one pass.
 
@@ -86,24 +78,22 @@ def make_family(spec: FamilySpec) -> FunctionHandle:
     limit -log(1-z).  Any mu != 0, however small, keeps the power form,
     which stays accurate to about 1e-15 there.
     """
-    if spec.id in _INTERVALS:
-        check, interval = _INTERVALS[spec.id]
+    if spec.id in _PARAMETRIC:
+        check, interval, exponent = _PARAMETRIC[spec.id]
         if spec.beta is None:
             raise ParameterDomainError(f"family {spec.id} needs beta in {interval}")
         if not (math.isfinite(spec.beta) and check(spec.beta)):
             raise ParameterDomainError(
-                f"family {spec.id} needs {interval} (got beta = {spec.beta:g})"
+                f"family {spec.id} needs {interval} (got beta = {_beta_text(spec.beta)})"
             )
-        mu = power_exponent(spec.id, spec.beta)
+        mu = exponent(spec.beta)
         if not math.isfinite(mu):
             raise ParameterDomainError(
                 f"family {spec.id} needs {interval} with a finite exponent mu "
-                f"(got beta = {spec.beta:g}, mu = {mu:g})"
+                f"(got beta = {_beta_text(spec.beta)}, mu = {mu:g})"
             )
         label = f"{spec.id}(beta={_beta_text(spec.beta)})"
-        if mu == 0.0:
-            return FunctionHandle(kind="log", label=label)
-        return FunctionHandle(kind="power", label=label, mu=mu)
+        return FunctionHandle(kind="log" if mu == 0.0 else "power", label=label, mu=mu)
     base, colon, arg = spec.id.partition(":")
     if base not in BUILTIN_FAMILIES:
         raise ParameterDomainError(

@@ -4,18 +4,22 @@ Where |w| attains its maximum over a circle |z| = r, the ratio
 z w'(z)/w(z) is a real number k >= 1.  ``jack_probe`` locates the argmax
 by a coarse scan plus golden-section refinement and measures the ratio
 with Cauchy's integral formula on a small circle around the argmax,
-keeping the probe independent of any closed-form derivative of w.
+keeping the probe independent of any closed-form derivative of w.  A w is
+a label and a map: z^n (monomial), z (z-a)/(1 - conj(a) z) (blaschke) or
+the w a theorem run induces from z f'/f (induced).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .analytic_core import (
     FunctionHandle,
+    _beta_text,
     _integer,
     mobius_invert_t1,
     mobius_invert_t2,
@@ -23,7 +27,6 @@ from .analytic_core import (
 )
 from .criteria import t1_bound, t2_bound
 from .errors import DegenerateSchwarzError, DiskDomainError, ParameterDomainError
-from .families import _beta_text
 from .search import golden_max, refine_extremum
 
 DEGENERATE_TOL = 1e-13
@@ -31,29 +34,15 @@ DEGENERATE_TOL = 1e-13
 
 @dataclass(frozen=True)
 class SchwarzFunction:
-    """Analytic w on the disk with w(0) = 0: a monomial z^n, a Blaschke
-    composition z (z-a)/(1 - conj(a) z), or the w induced by a theorem run.
+    """Analytic w on the disk with w(0) = 0: a label and a map taking scalars
+    or arrays.  Equality and hash go by label, so the induced w of two series
+    handles with the same series[N] label compare equal: the label's limit."""
 
-    Instances are callables accepting scalars or arrays of points.
-    """
-
-    kind: str
     label: str
-    n: int = 1
-    a: complex = 0j
-    theorem: int = 1
-    handle: FunctionHandle | None = None
-    beta: float = 0.0
+    map: Callable = field(compare=False)
 
     def __call__(self, z):
-        if self.kind == "monomial":
-            return z**self.n
-        if self.kind == "blaschke":
-            return z * (z - self.a) / (1.0 - self.a.conjugate() * z)
-        q = starlike_q(self.handle, z)
-        if self.theorem == 1:
-            return mobius_invert_t1(self.beta, q)
-        return mobius_invert_t2(self.beta, q)
+        return self.map(z)
 
 
 @dataclass(frozen=True)
@@ -71,14 +60,16 @@ def monomial(n: int) -> SchwarzFunction:
     n = _integer(n, "monomial order")
     if n < 1:
         raise ParameterDomainError(f"monomial order must be >= 1 (got {n})")
-    return SchwarzFunction(kind="monomial", label=f"monomial:{n}", n=n)
+    return SchwarzFunction(f"monomial:{n}", lambda z: z**n)
 
 
 def blaschke(a) -> SchwarzFunction:
     a = complex(a)
     if not abs(a) < 1.0:  # also rejects a NaN zero
         raise ParameterDomainError(f"Blaschke zero needs |a| < 1 (got |a| = {abs(a):g})")
-    return SchwarzFunction(kind="blaschke", label=f"blaschke:{a.real:g}{a.imag:+g}j", a=a)
+    im = _beta_text(a.imag)
+    label = f"blaschke:{_beta_text(a.real)}{'' if im.startswith('-') else '+'}{im}j"
+    return SchwarzFunction(label, lambda z: z * (z - a) / (1.0 - a.conjugate() * z))
 
 
 def induced(theorem: int, handle: FunctionHandle, beta: float) -> SchwarzFunction:
@@ -86,13 +77,12 @@ def induced(theorem: int, handle: FunctionHandle, beta: float) -> SchwarzFunctio
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
     (t1_bound if theorem == 1 else t2_bound)(beta)  # the theorem's beta interval
-    return SchwarzFunction(
-        kind="induced",
-        label=f"induced:t{theorem}:{handle.label}:{_beta_text(beta)}",
-        theorem=theorem,
-        handle=handle,
-        beta=beta,
-    )
+
+    def w(z):  # looks the maps up on each call, so a patched one is found
+        q = starlike_q(handle, z)
+        return mobius_invert_t1(beta, q) if theorem == 1 else mobius_invert_t2(beta, q)
+
+    return SchwarzFunction(f"induced:t{theorem}:{handle.label}:{_beta_text(beta)}", w)
 
 
 def boundary_argmax(w, r: float, n: int = 1024):

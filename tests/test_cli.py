@@ -104,6 +104,43 @@ def test_jack_and_plot_name_beta_exactly(tmp_path, capsys):
         out.read_text()
 
 
+def test_jack_and_plot_name_blaschke_zeros_and_radii_exactly(tmp_path, capsys):
+    # six significant digits would name the zero 0.123457 and the radius 1
+    assert run_cli(["jack", "--w", "blaschke:0.12345678", "--r", "0.9", "--n", "256"]) == 0
+    assert capsys.readouterr().out.startswith("w blaschke:0.12345678+0j r 0.9 n 256\n")
+    out = tmp_path / "p.svg"
+    assert run_cli(["plot", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
+                    "--radii", "0.5,0.9999999", "--angles", "64", "--out", str(out)]) == 0
+    assert ">r=0.9999999</text>" in out.read_text()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # :g would print -1, a beta inside the interval refused
+    (["verify", "--theorem", "2", "--family", "ex2_neg", "--beta=-0.9999999999999998",
+      "--angles", "64"], 2,
+     "error: family ex2_neg needs beta <= -1 (got beta = -0.9999999999999998)\n"),
+    (["proof-scan", "--theorem", "1", "--beta", "3.0000000001"], 2,
+     "error: theorem 1 needs 1 < beta < 3 (got 3.0000000001)\n"),
+    (["verify", "--theorem", "1", "--family", "builtin_quadratic",
+      "--beta", "1.00000000000001", "--angles", "64"], 1,
+     "check failed: q = beta = 1.00000000000001 is the pole of the inverse map\n"),
+], ids=["family-interval", "theorem-interval", "pole"])
+def test_refusals_name_beta_exactly(capsys, argv, code, message):
+    assert run_cli(argv) == code
+    assert capsys.readouterr() == ("", message)
+
+
+def test_family_help_names_every_family_with_the_interval_it_is_refused_with():
+    for family in sd.PARAMETRIC_FAMILIES:
+        with pytest.raises(sd.ParameterDomainError) as err:
+            sd.make_family(sd.FamilySpec(family))
+        interval = str(err.value).removeprefix(f"family {family} needs beta in ")
+        assert f"{family} ({interval})" in cli.FAMILY_HELP
+    for builtin in sd.BUILTIN_FAMILIES:
+        assert builtin in cli.FAMILY_HELP
+    assert "builtin_monomial:N" in cli.FAMILY_HELP
+
+
 # orders int() reads but str() does not give back: each would make a label
 # that differs from the text given
 BAD_ORDERS = ["3_0", " +2", "+2", "02", "\u0663", "", "-0", "3 "]

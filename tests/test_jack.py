@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stardisk as sd
-from stardisk import cli
+from stardisk import cli, jack
 from stardisk.errors import (
     DegenerateSchwarzError,
     DiskDomainError,
@@ -216,3 +216,60 @@ def test_probe_ratio_near_the_small_w_end_matches_mpmath(theorem, family, beta, 
     probe = sd.jack_probe(sd.induced(theorem, fh, beta), r)
     want = _power_induced_k(mpmath, theorem, fh.mu, beta, r * cmath.exp(1j * probe.theta_star))
     assert abs(probe.k_estimate - want) <= 1e-6, (probe.k_estimate, want)
+
+
+def _ex1_high_induced():
+    return sd.induced(1, sd.make_family(sd.FamilySpec("ex1_high", 2.5)), 2.5)
+
+
+@pytest.mark.parametrize("make_a, make_b, equal", [
+    (_ex1_high_induced, _ex1_high_induced, True),
+    (lambda: sd.schwarz_monomial(2), lambda: sd.schwarz_monomial(2), True),
+    (lambda: sd.blaschke(0.3 - 0.4j), lambda: sd.blaschke(complex(0.3, -0.4)), True),
+    (lambda: sd.blaschke(0.12345678), lambda: sd.blaschke(0.12345679), False),
+    (lambda: sd.blaschke(0.25), lambda: sd.blaschke(0.25j), False),
+    (lambda: sd.schwarz_monomial(2), lambda: sd.schwarz_monomial(3), False),
+    (lambda: sd.induced(2, sd.make_family(sd.FamilySpec("ex2_pos", 3.0)), 3.0),
+     lambda: sd.induced(2, sd.make_family(sd.FamilySpec("ex2_pos", 3.0000001)), 3.0000001),
+     False),
+    # the label's limit: a series handle is named by its length alone
+    (lambda: sd.induced(1, sd.series((0.1,)), 2.5),
+     lambda: sd.induced(1, sd.series((0.2,)), 2.5), True),
+], ids=["induced", "monomial", "blaschke", "blaschke-digits", "blaschke-real-imag",
+        "monomial-order", "induced-beta", "series-limit"])
+def test_schwarz_functions_are_equal_exactly_when_their_labels_are(make_a, make_b, equal):
+    a, b = make_a(), make_b()
+    assert a is not b
+    assert (a.label == b.label) is equal
+    assert (a == b) is equal
+    if equal:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("label, w", [
+    ("blaschke:0.12345678+0j", sd.blaschke(0.12345678)),
+    ("blaschke:0.3-0.4j", sd.blaschke(0.3 - 0.4j)),
+    ("blaschke:-0.25-0j", sd.blaschke(complex("-0.25-0j"))),
+    ("blaschke:1e-05+0.1j", sd.blaschke(1e-05 + 0.1j)),
+    ("blaschke:0.5+0j", sd.blaschke(0.5)),
+])
+def test_blaschke_labels_name_the_exact_zero(label, w):
+    assert w.label == label
+
+
+def test_a_patched_call_sees_the_evaluations_of_each_kind(monkeypatch):
+    # the benchmark's tracer counts evaluations of w this way
+    seen = []
+    call = jack.SchwarzFunction.__call__
+
+    def counting(self, z):
+        seen.append(self.label)
+        return call(self, z)
+
+    monkeypatch.setattr(jack.SchwarzFunction, "__call__", counting)
+    for w in (sd.schwarz_monomial(3), sd.blaschke(0.5),
+              sd.induced(2, sd.make_family(sd.FamilySpec("ex2_pos", 3.0)), 3.0)):
+        del seen[:]
+        sd.jack_probe(w, 0.9, 256)
+        # the coarse scan, the golden refinement and the two Cauchy evaluations
+        assert len(seen) > 3 and set(seen) == {w.label}

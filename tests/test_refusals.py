@@ -275,3 +275,33 @@ def test_numpy_integer_counts_are_accepted():
     assert sd.proof_extremal_t1(2.5, np.int32(256)) == sd.proof_extremal_t1(2.5, 256)
     assert sd.schwarz_monomial(np.int64(2)) == sd.schwarz_monomial(2)
     assert sd.monomial(np.int64(3)) == sd.monomial(3)
+
+
+# each number :g rounds to 6 digits, which would name a value other than
+# the one refused (0.9999999 as 1, inside k >= 1)
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sd.proof_boundary_value_t1(2.5, 0.0, 0.9999999), ParameterDomainError,
+     "k must be >= 1 (got 0.9999999)"),
+    (lambda: sd.t1_bound(3.0000000001), ParameterDomainError,
+     "theorem 1 needs 1 < beta < 3 (got 3.0000000001)"),
+    (lambda: sd.t2_bound(-0.9999999), ParameterDomainError,
+     "theorem 2 needs -1e+150 <= beta <= -1 or 1 < beta <= 1e+150 (got -0.9999999)"),
+    (lambda: sd.target_disk(0.99999999), ParameterDomainError,
+     "the target disk needs 1 < beta < inf (got 0.99999999)"),
+    (lambda: sd.make_family(sd.FamilySpec("ex1_low", 2.0000000000000004)),
+     ParameterDomainError, "family ex1_low needs 1 < beta <= 2 (got beta = 2.0000000000000004)"),
+    (lambda: sd.mobius_target(1.0000001, 1.0000001), PoleError,
+     "z = beta = 1.0000001 is the pole of the target map"),
+    (lambda: sd.mobius_invert_t1(1.0000001, 1.0000001), PoleError,
+     "q = beta = 1.0000001 is the pole of the inverse map"),
+    (lambda: sd.mobius_invert_t2(2.0000001, 1.0 / 2.0000001), PoleError,
+     "beta * q = 1 (beta = 2.0000001) is the pole of the inverse map"),
+    (lambda: sd.sweep([sd.halfplane()], [2.0000001], sd.SamplingGrid((0.9,), 64), 1),
+     PoleError, "q - beta has 1 zero in |z| < 0.9 (beta = 2.0000001); "
+     "the inverse map has a pole there"),
+], ids=["k", "t1-beta", "t2-beta", "target-disk", "family", "target-pole", "t1-pole",
+        "t2-pole", "scan-pole"])
+def test_refusals_name_the_exact_number(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
