@@ -232,6 +232,17 @@ _EVALUATORS = {
 }
 
 
+def _may_vanish(handles):
+    """(f', f/z): may each vanish in |z| < 1 for some handle, so need a zero
+    count?  A series may.  With L = Log(1-z), |Im L| < pi/2 there.  f' is
+    e^{(mu-1)L}, 1/(1-z), (1+z)/(1-z)^3 or 1/(1-z)^2 (power, log, Koebe, half
+    plane), f/z is -L/z, 1/(1-z)^2 or 1/(1-z) (log, Koebe, half plane): none is 0.
+    The power form's f/z = -expm1(mu L)/(mu z) is 0 only at z = 1 - e^{i phi}, phi =
+    2 pi k/mu, k != 0, |phi| < pi/2; there |z| = 2|sin(phi/2)| < 1 needs |mu| > 6."""
+    series = any(fh.kind == "series" for fh in handles)
+    return series, series or any(fh.kind == "power" and abs(fh.mu) > 6.0 for fh in handles)
+
+
 def eval_jet(fh: FunctionHandle, z) -> Jet2:
     """Second-order jet (f, f', f'') of the handle at points of the disk."""
     arr = np.asarray(z, dtype=complex)

@@ -240,15 +240,11 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         if not math.isfinite(value):
             raise ParameterDomainError(f"{flag} must be finite (got {value:g})")
-    if args.steps == 1:
-        betas = [args.beta_min]
-    else:
-        step = (args.beta_max - args.beta_min) / (args.steps - 1)
-        # beta_min + (steps - 1) * step can round past beta_max
-        betas = [args.beta_min + i * step for i in range(args.steps - 1)] + [args.beta_max]
+    with np.errstate(over="ignore", invalid="ignore"):  # NaNs past the float range
+        betas = np.linspace(args.beta_min, args.beta_max, args.steps).tolist()
     grid = SamplingGrid(args.radii, args.angles)
-    # Validate the whole range first (the families here, the bounds in
-    # run_sweep) so a straddling range fails before any output is produced.
+    # Validate the whole range first (the families here, a NaN beta too, the bounds
+    # in run_sweep) so a straddling range fails before any output is produced.
     handles = [handle_from_name(args.family, b) for b in betas]
     lines = [CSV_HEADER]
     for b, (hyp, con) in zip(betas, run_sweep(handles, betas, grid, args.theorem)):

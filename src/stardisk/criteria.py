@@ -228,8 +228,8 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
     array is dropped once used.
 
     certify = (r, n) counts, after each guard, the zeros inside z = r e^{i
-    theta} (see _zero_count) of f', of f/z and of the Mobius denominator
-    (q - beta for theorem 1, 1 - beta q for theorem 2); a nonzero count
+    theta} (see _zero_count) of f' and f/z, where analytic_core._may_vanish
+    cannot rule them out, and of the Mobius denominator; a nonzero count
     raises the error of that guard, naming the count and r.
     """
     b = np.asarray(betas)
@@ -255,9 +255,9 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
             return 1.0 - beta * q
         invert, pole = mobius_invert_t2, "1 - beta q"
 
-    def certify_zero_free(values, value_at, what, error, reason):
+    def certify_zero_free(needed, values, value_at, what, error, reason):
         # values() on z, value_at(rows, x) at refinement points x
-        if certify is None:
+        if certify is None or not needed:
             return
         k = _zero_count(values(), value_at, *certify, what)
         bad = np.flatnonzero(k)
@@ -270,16 +270,17 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
         fx, dfx = jet(rows, x)[:2]
         return denominator(b[rows], x * dfx / fx)
 
+    df_may, fz_may = analytic_core._may_vanish(handles)
     p = _p_from_jet(z, df, d2f)
     del d2f
-    certify_zero_free(lambda: df, lambda rows, x: jet(rows, x)[1], "f'", CriticalPointError,
-                      "; 1 + z f''/f' is singular there")
+    certify_zero_free(df_may, lambda: df, lambda rows, x: jet(rows, x)[1], "f'",
+                      CriticalPointError, "; 1 + z f''/f' is singular there")
     q = _q_from_jet(handles[0], z, f, df)
-    certify_zero_free(lambda: f / z, lambda rows, x: jet(rows, x)[0] / x, "f/z",
+    certify_zero_free(fz_may, lambda: f / z, lambda rows, x: jet(rows, x)[0] / x, "f/z",
                       FunctionZeroError, "; z f'/f is singular there and f cannot be starlike")
     del f, df
     w = invert(b[:, None], q)
-    certify_zero_free(lambda: denominator(b[:, None], q), den_at, pole, PoleError,
+    certify_zero_free(True, lambda: denominator(b[:, None], q), den_at, pole, PoleError,
                       " (beta = {}); the inverse map has a pole there")
     return _reduce(theorem, b[:, None], z, q, p, w)
 
@@ -333,16 +334,16 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     grid.radii[-1]: each report has that one row.
 
     The disk inside it is certified first, by the argument principle: on
-    |z| = r_max, the zeros inside of f', of f/z and of the Mobius
-    denominator (q - beta for theorem 1, 1 - beta q for theorem 2) are
-    counted, and a nonzero count raises CriticalPointError,
-    FunctionZeroError or PoleError, in that order, naming the count and
-    r_max.  So f is locally univalent and zero-free on 0 < |z| < r_max and
-    w has no pole there, and the maximum principle puts the extremes of
-    Re p, |w| and Re q over the disk on that circle.  A phase step the
-    halvings of _zero_count cannot resolve raises ParameterDomainError.
-    Where no count fires, the result equals the per-beta run_t1/run_t2
-    calls on SamplingGrid((r_max,), grid.angular_count).
+    |z| = r_max, the zeros inside of the Mobius denominator (q - beta for
+    theorem 1, 1 - beta q for theorem 2) are counted, and of f' and f/z where
+    analytic_core._may_vanish does not rule them out (a series; f/z of a
+    power form with |mu| > 6).  A nonzero count raises CriticalPointError,
+    FunctionZeroError or PoleError, in that order, naming the count and r_max.
+    So f is locally univalent and zero-free on 0 < |z| < r_max, w has no pole
+    there, and the maximum principle puts the extremes of Re p, |w| and Re q
+    over the disk on that circle.  An unresolved phase step raises
+    ParameterDomainError.  Where no count fires, the result equals the
+    per-beta run_t1/run_t2 calls on SamplingGrid((r_max,), grid.angular_count).
 
     The theorem, the list lengths and every bound are checked before any
     work.  When every handle is power-form and every point of the circle

@@ -15,7 +15,8 @@ independent of it; ROADMAP item 8 moves them out of the package.
 
 Builtins (Koebe, half plane, the quadratic z - z^2/2, normalized monomial
 perturbations, truncated series) are known-answer anchors that make the
-invariants assertable without any family parameter.
+invariants assertable without any family parameter.  Each builtin family
+id is one row of _BUILTINS, id to builder, as each paper family is of _PARAMETRIC.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ _PARAMETRIC = {
                 lambda b: -(b * b + 1.0) / (b * (b - 1.0))),
 }
 PARAMETRIC_FAMILIES = tuple(_PARAMETRIC)
-BUILTIN_FAMILIES = (
-    "builtin_koebe",
-    "builtin_halfplane",
-    "builtin_quadratic",
-    "builtin_monomial",
-)
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ def make_family(spec: FamilySpec) -> FunctionHandle:
         label = f"{spec.id}(beta={_beta_text(spec.beta)})"
         return FunctionHandle(kind="log" if mu == 0.0 else "power", label=label, mu=mu)
     base, colon, arg = spec.id.partition(":")
-    if base not in BUILTIN_FAMILIES:
+    if base not in _BUILTINS:
         raise ParameterDomainError(
             f"unknown family '{spec.id}'; expected one of "
             f"{PARAMETRIC_FAMILIES + BUILTIN_FAMILIES}"
@@ -110,8 +105,7 @@ def make_family(spec: FamilySpec) -> FunctionHandle:
         return monomial(order)
     if spec.id != base:
         raise ParameterDomainError(f"unknown builtin '{spec.id}'")
-    return {"builtin_koebe": koebe, "builtin_halfplane": halfplane,
-            "builtin_quadratic": quadratic}[base]()
+    return _BUILTINS[base]()
 
 
 def series(coeffs, label: str | None = None) -> FunctionHandle:
@@ -148,6 +142,12 @@ def monomial(n: int) -> FunctionHandle:
     return series(coeffs, label=f"builtin_monomial:{n}")
 
 
+# id: builder; the monomial's takes the N of builtin_monomial:N (1 when absent)
+_BUILTINS = {"builtin_koebe": koebe, "builtin_halfplane": halfplane,
+             "builtin_quadratic": quadratic, "builtin_monomial": monomial}
+BUILTIN_FAMILIES = tuple(_BUILTINS)
+
+
 def _pw(z, e):
     # (1-z)^e, principal branch
     return np.exp(e * log_one_minus(z))
@@ -161,7 +161,7 @@ def _one_minus_pw(z, e):
 def _require_parametric(spec: FamilySpec) -> float:
     """The exponent mu of a parametric spec.  A builtin without beta is
     refused here; make_family refuses every other spec it cannot build."""
-    if spec.beta is None and spec.id.split(":", 1)[0] in BUILTIN_FAMILIES:
+    if spec.beta is None and spec.id.split(":", 1)[0] in _BUILTINS:
         raise ParameterDomainError(
             f"closed forms exist for the parametric families only (got '{spec.id}')"
         )

@@ -66,7 +66,7 @@ def monomial(n: int) -> SchwarzFunction:
 def blaschke(a) -> SchwarzFunction:
     a = complex(a)
     if not abs(a) < 1.0:  # also rejects a NaN zero
-        raise ParameterDomainError(f"Blaschke zero needs |a| < 1 (got |a| = {abs(a):g})")
+        raise ParameterDomainError(f"Blaschke zero needs |a| < 1 (got |a| = {_beta_text(abs(a))})")
     im = _beta_text(a.imag)
     label = f"blaschke:{_beta_text(a.real)}{'' if im.startswith('-') else '+'}{im}j"
     return SchwarzFunction(label, lambda z: z * (z - a) / (1.0 - a.conjugate() * z))
@@ -93,7 +93,7 @@ def boundary_argmax(w, r: float, n: int = 1024):
     search.refine_extremum.  Returns (theta_star, max_abs).
     """
     if not 0.0 < r < 1.0:
-        raise DiskDomainError(f"probe radius must be in (0, 1) (got {r:g})")
+        raise DiskDomainError(f"probe radius must be in (0, 1) (got {_beta_text(r)})")
     n = _integer(n, "angular sample count")
     if n < 256:
         raise ParameterDomainError(f"angular sample count must be >= 256 (got {n})")

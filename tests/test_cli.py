@@ -262,6 +262,21 @@ def test_sweep_ends_at_beta_max_exactly(tmp_path):
     assert rows[-1].split(",")[0] == "-1.0"
 
 
+@pytest.mark.parametrize("family, message", [
+    ("ex2_neg", "family ex2_neg needs beta <= -1 (got beta = nan)"),
+    ("builtin_halfplane",
+     "theorem 2 needs -1e+150 <= beta <= -1 or 1 < beta <= 1e+150 (got nan)"),
+])
+def test_sweep_wider_than_the_float_range_exits_2_without_a_numpy_warning(capsys, family,
+                                                                         message):
+    # 1e308 - (-1e308) overflows, so the betas are NaN; every warning is an
+    # error here, so a numpy warning would fail this test
+    argv = ["sweep", "--theorem", "2", "--family", family, "--beta-min=-1e308",
+            "--beta-max=1e308", "--steps", "3"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_margins_positive(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(

@@ -234,6 +234,28 @@ def test_power_handle_extreme_is_the_closed_form_at_theta_pi(family, beta, r, an
         (hyp.margin_at_rmax, want)
 
 
+@pytest.mark.parametrize("angles", [256, 4096])
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.9, 0.99])
+@pytest.mark.parametrize("handle, t1_beta, sup, inf", [
+    # Koebe: p = (1 + 4z + z^2)/(1 - z^2); half plane: p = (1 + z)/(1 - z)
+    (sd.koebe(), 2.5, lambda r: (1 + 4 * r + r * r) / (1 - r * r),
+     lambda r: (1 - 4 * r + r * r) / (1 - r * r)),
+    (sd.halfplane(), 1.5, lambda r: (1 + r) / (1 - r), lambda r: (1 - r) / (1 + r)),
+], ids=["koebe", "halfplane"])
+def test_builtin_extreme_is_the_closed_form_at_plus_or_minus_r(handle, t1_beta, sup, inf, r,
+                                                              angles):
+    # Re p of either is extreme on |z| = r where the circle crosses the real
+    # axis: sup at z = r (theorem 1), inf at z = -r (theorem 2).  The betas
+    # keep the Mobius poles q = beta and q = 1/3 off these circles.
+    for (hyp, _), want, at in ((sd.run_t1(handle, t1_beta, sd.SamplingGrid((r,), angles)),
+                                sup(r), r),
+                               (sd.run_t2(handle, 3.0, sd.SamplingGrid((r,), angles)),
+                                inf(r), -r)):
+        row = hyp.per_radius[-1]
+        assert abs(row.extreme - want) <= 8.0 * EPS * max(1.0, abs(want - 1.0)), (row, want)
+        assert abs(row.witness - at) <= 2.0 * EPS
+
+
 # -------------------------------------------------------------------- orders
 
 def test_order_of_starlikeness_values():

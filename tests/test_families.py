@@ -97,6 +97,13 @@ def test_builtin_spec_roundtrip():
         sd.make_family(sd.FamilySpec("no_such_family", 2.0))
 
 
+def test_builtin_ids_keep_their_order_and_build_their_handles():
+    assert sd.BUILTIN_FAMILIES == (
+        "builtin_koebe", "builtin_halfplane", "builtin_quadratic", "builtin_monomial")
+    labels = [sd.make_family(sd.FamilySpec(name)).label for name in sd.BUILTIN_FAMILIES]
+    assert labels == list(sd.BUILTIN_FAMILIES[:3]) + ["builtin_monomial:1"]
+
+
 @pytest.mark.parametrize("family, beta, text", [
     ("ex1_high", 2.5, "2.5"),
     ("ex1_high", 2.0, "2"),

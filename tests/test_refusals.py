@@ -243,9 +243,10 @@ PARAMETER_REFUSALS = [
     ("sweep-theorem-3", lambda: sd.sweep([sd.koebe()], [2.0], TINY_GRID, 3),
      "theorem must be 1 or 2 (got 3)"),
     # a zero count whose phase still turns by more than pi/2 on an arc
-    # 1/1024 of a step long: 1 - 0.999999 is below that arc's length
+    # 1/1024 of a step long: f' = (1 - z/1.00001)^2 has its double zero
+    # 1e-5 past z = 0.999999, nearer than that arc's length
     ("sweep-unresolved-phase",
-     lambda: sd.sweep([sd.make_family(sd.FamilySpec("ex2_neg", -2.0))], [-2.0],
+     lambda: sd.sweep([sd.series((-1 / 1.00001, 1 / (3 * 1.00001**2)))], [-2.0],
                       sd.SamplingGrid((0.999999,), 8), 2),
      "the phase of f' on |z| = 0.999999 turns by more than pi/2 between points "
      "1/1024 of a step apart at 8 angles; use more angles"),
@@ -299,8 +300,12 @@ def test_numpy_integer_counts_are_accepted():
     (lambda: sd.sweep([sd.halfplane()], [2.0000001], sd.SamplingGrid((0.9,), 64), 1),
      PoleError, "q - beta has 1 zero in |z| < 0.9 (beta = 2.0000001); "
      "the inverse map has a pole there"),
+    (lambda: sd.blaschke(1.0000001), ParameterDomainError,
+     "Blaschke zero needs |a| < 1 (got |a| = 1.0000001)"),
+    (lambda: sd.boundary_argmax(sd.schwarz_monomial(2), 1.0000001), DiskDomainError,
+     "probe radius must be in (0, 1) (got 1.0000001)"),
 ], ids=["k", "t1-beta", "t2-beta", "target-disk", "family", "target-pole", "t1-pole",
-        "t2-pole", "scan-pole"])
+        "t2-pole", "scan-pole", "blaschke-zero", "probe-radius"])
 def test_refusals_name_the_exact_number(call, error, message):
     with pytest.raises(error) as err:
         call()

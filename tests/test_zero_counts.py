@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 import stardisk as sd
-from stardisk import criteria
+from stardisk import analytic_core, criteria
 from stardisk.cli import main as run_cli
 from stardisk.errors import CriticalPointError, FunctionZeroError, PoleError
 
@@ -202,3 +202,63 @@ def test_the_half_circle_counts_what_the_full_circle_counts(fh, counts, angles):
     assert criteria._zero_count(v, value_at, 0.99, angles, "v").tolist() == counts
     half = v[:, :angles // 2 + 1]
     assert criteria._zero_count(half, value_at, 0.99, angles, "v").tolist() == counts
+
+
+# ------------------------------------------- counts that algebra fixes at 0
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "ex2_neg", "--beta-min=-8", "--beta-max=-2", "--steps", "4",
+     "--radii", "0.999999", "--angles", "4096"],
+    ["--family", "ex2_pos", "--beta-min=2", "--beta-max=8", "--steps", "4",
+     "--radii", "0.99999", "--angles", "256"],
+    ["--family", "builtin_koebe", "--beta-min=-1", "--beta-max=-1", "--steps", "1",
+     "--radii", "0.999999", "--angles", "4096"],
+], ids=["ex2_neg", "ex2_pos", "koebe"])
+def test_closed_forms_sweep_next_to_the_unit_circle(capsys, argv):
+    # the phases of f' and f/z outrun the halvings near z = 1, yet neither
+    # has a zero in the disk, so neither is counted
+    assert run_cli(["sweep", "--theorem", "2"] + argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("r", [0.9, 0.99])
+@pytest.mark.parametrize("mu", [s * k / 2 for k in range(1, 13) for s in (1, -1)])
+def test_power_f_prime_and_f_over_z_count_no_zero_up_to_mu_6(mu, r):
+    # what the sweep no longer counts reads 0 on a dense circle
+    fh = sd.FunctionHandle("power", f"mu={mu}", mu=mu)
+    assert analytic_core._may_vanish([fh]) == (False, False)
+
+    def values(x):
+        f, df, _ = sd.eval_jet(fh, x)
+        return np.stack([df, f / x])
+
+    def value_at(rows, x):
+        return values(x)[rows, np.arange(len(x))]
+
+    n = 2**14
+    v = values(r * np.exp(1j * sd.SamplingGrid((r,), n).angles()))
+    assert criteria._zero_count(v, value_at, r, n, "v").tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("mu, r, outcome", [
+    # f/z vanishes at z = 1 - e^{+-2 pi i/mu}, |z| = 2 sin(pi/|mu|): 0.868
+    # for |mu| = 7, 0.971 for 6.5; at r = 0.85 the count reads 0 and the
+    # Mobius denominator's, counted next, fires
+    (7.0, 0.85, (PoleError, 1)), (7.0, 0.88, (FunctionZeroError, 2)),
+    (7.0, 0.99, (FunctionZeroError, 2)), (-7.0, 0.85, (PoleError, 1)),
+    (-7.0, 0.88, (FunctionZeroError, 2)), (-7.0, 0.99, (FunctionZeroError, 2)),
+    (6.5, 0.99, (FunctionZeroError, 2)), (-6.5, 0.99, (FunctionZeroError, 2)),
+])
+def test_a_power_form_past_mu_6_still_counts_f_over_z(mu, r, outcome):
+    fh = sd.FunctionHandle("power", f"mu={mu}", mu=mu)
+    assert analytic_core._may_vanish([fh]) == (False, True)
+    assert swept(fh, 2.0, 1, sd.SamplingGrid((r,), 4096)) == outcome
+
+
+def test_only_a_series_or_a_power_form_past_mu_6_may_vanish():
+    closed = [sd.koebe(), sd.halfplane(), sd.FunctionHandle("log", "log"),
+              sd.FunctionHandle("power", "p", mu=6.0), sd.FunctionHandle("power", "p", mu=-6.0)]
+    assert analytic_core._may_vanish(closed) == (False, False)
+    assert analytic_core._may_vanish(closed + [sd.FunctionHandle("power", "p", mu=6.01)]) \
+        == (False, True)
+    assert analytic_core._may_vanish(closed + [sd.quadratic()]) == (True, True)
