@@ -229,8 +229,9 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
 
     certify = (r, n) counts, after each guard, the zeros inside z = r e^{i
     theta} (see _zero_count) of f' and f/z, where analytic_core._may_vanish
-    cannot rule them out, and of the Mobius denominator; a nonzero count
-    raises the error of that guard, naming the count and r.
+    cannot rule them out, and of the Mobius denominator; a positive count
+    raises the error of that guard, naming the count and r.  A negative
+    count, which only an aliased count gives, raises ParameterDomainError.
     """
     b = np.asarray(betas)
     if len(handles) == 1:
@@ -260,6 +261,13 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
         if certify is None or not needed:
             return
         k = _zero_count(values(), value_at, *certify, what)
+        if k.min() < 0:
+            # no analytic function winds negatively about 0: this count,
+            # or an earlier one that let it run, aliased
+            raise ParameterDomainError(
+                f"{what} counts {k.min()} zeros in |z| < {certify[0]} at {certify[1]} "
+                "angles, but an analytic function has no negative count: a phase "
+                "aliased between samples; use more angles")
         bad = np.flatnonzero(k)
         if bad.size:
             i = bad[0]

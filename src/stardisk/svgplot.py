@@ -6,9 +6,12 @@ number of decimals.
 
 A polyline is rendered array-wide: the pixel coordinates of the whole
 closed curve come from one numpy pass of the ``_Frame`` arithmetic, and
-its ``points`` attribute from one ``%``-format.  ``"%.3f" % x`` and
-``f"{x:.3f}"`` share CPython's float-to-string conversion, so the bytes
-equal those of formatting each vertex with ``_fmt``, including ``-0.000``.
+its ``points`` attribute from ``_points``, an integer array kernel that
+rounds every coordinate as CPython's correctly rounded ``"%.3f"`` does.
+The bytes equal those of formatting each vertex with ``_fmt``, including
+``-0.000``.  The kernel is exact for pixel coordinates below 2**52 in
+magnitude; a curve with a larger one, which only a very narrow window
+gives, is written with one ``%``-format instead.
 No nan or inf is ever written: a window that is empty or not finite, one
 whose pixel scale is not finite, or a pixel coordinate that is not, raises
 ``ParameterDomainError``.
@@ -29,6 +32,53 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def _points(xy) -> str:
+    """The points attribute of a polyline through the flat pixel coordinates
+    xy = x0, y0, x1, y1, ...: the bytes of ``"%.3f,%.3f"`` per vertex, space
+    separated, from integer array arithmetic.
+
+    |x| = M 2**-s with M = m 2**53 < 2**53 from np.frexp and s = 53 - e, so
+    1000 |x| is 1000 M / 2**s, rounded half to even, as CPython's correctly
+    rounded ``%.3f`` does (``'%.3f' % 1.0625`` is ``1.062``).  This is exact
+    for |x| < 2**52, where 1000 M < 2**63 and s >= 1; a curve with a larger
+    coordinate, which only a very narrow window gives, is %-formatted.  The
+    sign comes from np.signbit, so -0.0 and -0.0004 give ``-0.000``.
+    """
+    mag = np.abs(xy)
+    if not (mag < 2.0**52).all():
+        return " ".join(["%.3f,%.3f"] * (xy.size // 2)) % tuple(xy.tolist())
+    m, e = np.frexp(mag)
+    shift = (53 - e).astype(np.uint64)
+    big = (m * 2.0**53).astype(np.uint64) * 1000
+    # below 2**-11, 1000 |x| < 1/2 rounds to 0; this keeps every shift < 64
+    big[shift > 63] = 0
+    np.minimum(shift, 63, out=shift)
+    # adding half - 1, plus 1 when the quotient is odd, rounds half to even;
+    # the sum stays below 1000 * 2**53 + 2**62 < 2**64
+    half = np.uint64(1) << (shift - 1)
+    n = (big + (half - 1) + ((big >> shift) & 1)) >> shift
+    # a row per number: sign, integer digits, ".", three decimals and a
+    # separator, with zero bytes, dropped at the end, where a number has no
+    # sign or fewer integer digits than the longest
+    digits = max(len(str(int(n.max(initial=0)))), 4)
+    out = np.zeros((xy.size, digits + 3), np.uint8)
+    out[:, 0] = np.signbit(xy) * ord("-")
+    out[:, digits - 2] = ord(".")
+    for k in range(digits):
+        # the digit of 10**k in n, left of the "." from k = 3 on, and blank
+        # from k = 4 on where n < 10**k
+        rest = n // 10
+        digit = n - 10 * rest + ord("0")
+        if k > 3:
+            digit *= n > 0
+        out[:, digits + 1 - k - (k > 2)] = digit
+        n = rest
+    out[0::2, -1] = ord(",")
+    out[1::2, -1] = ord(" ")
+    out[-1:, -1] = 0
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class _Frame:
@@ -114,7 +164,7 @@ def render_curves(title, curves, circle=None, vline=None, window=DEFAULT_WINDOW)
         with np.errstate(over="ignore", invalid="ignore"):
             xy[0::2] = fr.px(closed.real)
             xy[1::2] = fr.py(closed.imag)
-        coords = " ".join(["%.3f,%.3f"] * closed.size) % tuple(checked(xy).tolist())
+        coords = _points(checked(xy))
         color = PALETTE[idx % len(PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'

@@ -7,7 +7,7 @@ one handle, where the message names the first offending entry in row-major
 order; the parameter table covers sample counts, handle kinds and
 parameters, an empty radius list, a non-parametric family's exponent, a
 sweep's theorem and list lengths, a sweep's zero count whose arcs stay
-unresolved, and a run's thread count.
+unresolved or that reads negative, and a run's thread count.
 """
 
 import math
@@ -250,6 +250,14 @@ PARAMETER_REFUSALS = [
                       sd.SamplingGrid((0.999999,), 8), 2),
      "the phase of f' on |z| = 0.999999 turns by more than pi/2 between points "
      "1/1024 of a step apart at 8 angles; use more angles"),
+    # a negative count is an aliased one: at 256 angles the two zeros of
+    # f/z at |z| = 0.868 go uncounted (1024 angles count them), and q - beta,
+    # which has poles there, is counted next and reads -1
+    ("sweep-negative-count",
+     lambda: sd.sweep([sd.FunctionHandle("power", "p", mu=-7.0)], [2.0],
+                      sd.SamplingGrid((0.99,), 256), 1),
+     "q - beta counts -1 zeros in |z| < 0.99 at 256 angles, but an analytic function "
+     "has no negative count: a phase aliased between samples; use more angles"),
     # a worker count is an integer >= 1, checked before any work
     ("run-t1-fractional-threads", lambda: sd.run_t1(sd.koebe(), 2.0, TINY_GRID, 2.5),
      "threads must be an integer (got 2.5)"),

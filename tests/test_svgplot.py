@@ -10,6 +10,8 @@ from stardisk.errors import ParameterDomainError
 from stardisk.svgplot import DEFAULT_WINDOW, SIZE, render_curves
 
 WINDOWS = [DEFAULT_WINDOW, (0.0, 1.0, -0.5, 0.5), (-1e3, 2e3, 1e-3, 2e-3)]
+# one pixel per unit: the x pixel of a point is its real part, bit for bit
+IDENTITY = (0.0, float(SIZE), 0.0, float(SIZE))
 
 
 def reference_points(pts, window):
@@ -62,6 +64,40 @@ def test_signed_zeros_and_non_finite_values_match_reference():
             render_curves("t", [("c", np.append(pts, bad))], window=window)
 
 
+def test_any_finite_coordinates_match_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # the kernel's range, where it formats a whole curve, and every finite
+    # double, which sends most curves to the %-format
+    coords = st.one_of(st.floats(-2.0**52, 2.0**52, exclude_min=True, exclude_max=True),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=500)
+    @hypothesis.given(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=40))
+    def check(pts):
+        got = polyline_points(render_curves("t", [("c", pts)], window=IDENTITY))
+        assert got == [reference_points(pts, IDENTITY)]
+
+    check()
+
+
+@pytest.mark.parametrize("x, text", [
+    # exact ties of 1000 x round half to even, as '%.3f' does
+    (0.0625, "0.062"), (0.1875, "0.188"), (1.0625, "1.062"), (-1.0625, "-1.062"),
+    (2.0**40 + 0.0625, "1099511627776.062"), (np.nextafter(1.0625, 2.0), "1.063"),
+    (np.nextafter(0.1875, 0.0), "0.187"),
+    (0.0005, "0.001"), (2.0**-11, "0.000"), (-0.0004, "-0.000"), (-0.0, "-0.000"),
+    (5e-324, "0.000"), (-5e-324, "-0.000"), (999.9994999, "999.999"), (999.9995, "1000.000"),
+    (2.0**52 - 0.5, "4503599627370495.500"),
+    # from 2**52 on, the curve is %-formatted
+    (2.0**52, "4503599627370496.000"), (-1e300, "-" + "%.3f" % 1e300),
+])
+def test_fixed_coordinates(x, text):
+    pts = [complex(x, float(SIZE))]
+    got = polyline_points(render_curves("t", [("c", pts)], window=IDENTITY))
+    assert got == [f"{text},0.000 {text},0.000"] == [reference_points(pts, IDENTITY)]
+
+
 def test_curve_shapes_and_single_point():
     # 2-D input is flattened, and a one-point curve closes on itself
     grid = np.arange(12.0).reshape(3, 4) * (0.1 + 0.05j)
@@ -85,6 +121,16 @@ def test_overflowing_window_raises_instead_of_writing_inf():
     ):
         with pytest.raises(ParameterDomainError, match="every pixel coordinate must be finite"):
             render_curves("t", window=narrow, **bad)
+
+
+def test_a_curve_past_2_52_pixels_is_percent_formatted():
+    # at 8e12 pixels per unit, x = 1e3 is 8e15 pixels, past the exact range
+    # of the array kernel: the first curve is %-formatted, the second not
+    narrow = (0.0, 1e-10, 0.0, 1.0)
+    far = [("far", [1e-11 + 0.25j, 1e3 + 0.5j]), ("near", [1e-11 + 0.75j])]
+    got = polyline_points(render_curves("t", far, window=narrow))
+    assert got == [reference_points(pts, narrow) for _, pts in far]
+    assert got[0].split()[1] == "8000000000000000.000,400.000"
 
 
 @pytest.mark.parametrize("window", [
