@@ -220,6 +220,18 @@ PARAMETER_REFUSALS = [
      "monomial order must be an integer (got 2.5)"),
     ("monomial-fractional-order", lambda: sd.monomial(2.5),
      "monomial order must be an integer (got 2.5)"),
+    # ... and at least the floor of its use
+    ("grid-count-below-8", lambda: sd.SamplingGrid((0.5,), 7),
+     "angular_count must be >= 8 (got 7)"),
+    ("proof-t1-samples-below-256", lambda: sd.proof_extremal_t1(2.5, 255),
+     "theta_samples must be >= 256 (got 255)"),
+    ("proof-t2-samples-below-256", lambda: sd.proof_extremal_t2(3.0, 255),
+     "theta_samples must be >= 256 (got 255)"),
+    ("argmax-samples-below-256",
+     lambda: sd.boundary_argmax(sd.schwarz_monomial(2), 0.5, 255),
+     "angular sample count must be >= 256 (got 255)"),
+    ("schwarz-monomial-order-0", lambda: sd.schwarz_monomial(0),
+     "monomial order must be >= 1 (got 0)"),
     # NaN never reaches a report: a handle refuses non-finite parameters
     ("series-nan", lambda: sd.series([math.nan]),
      "series coefficients must be finite (got a_2 = (nan+0j))"),
