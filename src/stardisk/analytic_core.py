@@ -120,10 +120,7 @@ class SamplingGrid:
             raise ParameterDomainError(f"radii must lie in (0, 1), got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ParameterDomainError(f"radii must be strictly increasing, got {radii}")
-        count = _integer(self.angular_count, "angular_count")
-        object.__setattr__(self, "angular_count", count)
-        if count < 8:
-            raise ParameterDomainError(f"angular_count must be >= 8 (got {count})")
+        object.__setattr__(self, "angular_count", _integer(self.angular_count, "angular_count", 8))
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
@@ -162,13 +159,17 @@ def _beta_text(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _integer(value, name):
+def _integer(value, name, least=None):
     """value as an int, which a numpy integer gives too; anything else,
-    an integral float included, raises ParameterDomainError naming name."""
+    an integral float included, or an int below least (when given), raises
+    ParameterDomainError naming name."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ParameterDomainError(f"{name} must be an integer (got {value!r})") from None
+    if least is not None and value < least:
+        raise ParameterDomainError(f"{name} must be >= {least} (got {value})")
+    return value
 
 
 def _require_in_disk(arr):

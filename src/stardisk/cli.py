@@ -30,6 +30,7 @@ from .analytic_core import (
     FunctionHandle,
     SamplingGrid,
     _beta_text,
+    _integer,
     starlike_q,
     target_disk,
 )
@@ -235,8 +236,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 1:
-        raise ParameterDomainError(f"--steps must be >= 1 (got {args.steps})")
+    _integer(args.steps, "--steps", 1)
     for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         if not math.isfinite(value):
             raise ParameterDomainError(f"{flag} must be finite (got {value:g})")

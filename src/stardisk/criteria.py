@@ -38,8 +38,8 @@ from .search import golden_max, golden_min, refine_extremum
 # Theorem 2's bound and boundary value multiply beta^2 by small constants,
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
 T2_BETA_MAX = 1e150
-# A sweep scans SWEEP_BLOCK_POINTS // angular_count power handles in one
-# array pass over its circle, of block x (angular_count // 2 + 1) points
+# A sweep scans max(SWEEP_BLOCK_POINTS // angular_count, 1) power handles in
+# one array pass over its circle, of block x (angular_count // 2 + 1) points
 # (power handles have real coefficients), about half of this.  Full-circle
 # passes of 2**16 points were no faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
@@ -221,11 +221,12 @@ def _zero_count(v, value_at, r, n, what):
 
 def _scan(theorem, handles, betas, z, lg, certify=None):
     """The _reduce results of the handles at their betas on one circle z,
-    from the jet of one handle or of a block of power handles as one
-    (betas x angles) array over lg = Log(1 - z), which has no small-z patch
-    (z must keep |z| > SMALL_Z).  The guard of p runs first, so a circle
-    holding zeros of both f' and f raises CriticalPointError, and each jet
-    array is dropped once used.
+    from a jet that lg picks: given lg = Log(1 - z), which has no small-z
+    patch (z must keep |z| > SMALL_Z), the jet of a block of power handles,
+    one or more, as one (betas x angles) array over it; with lg None, that
+    of the one handle through its own eval_jet.  The guard of p runs first,
+    so a circle holding zeros of both f' and f raises CriticalPointError,
+    and each jet array is dropped once used.
 
     certify = (r, n) counts, after each guard, the zeros inside z = r e^{i
     theta} (see _zero_count) of f' and f/z, where analytic_core._may_vanish
@@ -234,7 +235,7 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
     count, which only an aliased count gives, raises ParameterDomainError.
     """
     b = np.asarray(betas)
-    if len(handles) == 1:
+    if lg is None:
         # through the module, where a span tracer may have replaced eval_jet
         f, df, d2f = analytic_core.eval_jet(handles[0], z[None])
 
@@ -313,9 +314,7 @@ def _run(fh, beta, grid, theorem, threads):
     on a thread pool over the radii when threads > 1; pool.map keeps their
     order, so the reports do not depend on the worker count.
     """
-    threads = _integer(threads, "threads")
-    if threads < 1:
-        raise ParameterDomainError(f"threads must be >= 1 (got {threads})")
+    threads = _integer(threads, "threads", 1)
     bound = (t1_bound if theorem == 1 else t2_bound)(beta)
     unit = _unit([fh], grid)
 
@@ -355,9 +354,10 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
 
     The theorem, the list lengths and every bound are checked before any
     work.  When every handle is power-form and every point of the circle
-    has |z| > SMALL_Z, the betas are scanned in blocks of
-    SWEEP_BLOCK_POINTS // angular_count, one (betas x angles) array pass
-    over Log(1 - z) per block, else one at a time, all on one thread.  A
+    has |z| > SMALL_Z, whatever the step and angle counts, one Log(1 - z)
+    serves every beta, scanned in blocks of max(SWEEP_BLOCK_POINTS //
+    angular_count, 1), one (betas x angles) array pass per block; else the
+    betas are scanned one at a time through eval_jet, all on one thread.  A
     block where a guard fires is replayed beta by beta, so the error raised
     is that of the first beta that fails alone.  Nothing is returned before
     every beta is done.
@@ -371,9 +371,8 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     r, n = grid.radii[-1], grid.angular_count
     z = r * _unit(handles, grid)
     # |r e^{i theta}| can round below r, so the test is on the points
-    batched = (len(handles) > 1 and SWEEP_BLOCK_POINTS // n > 1
-               and all(fh.kind == "power" for fh in handles) and np.abs(z).min() > SMALL_Z)
-    block = SWEEP_BLOCK_POINTS // n if batched else 1
+    batched = all(fh.kind == "power" for fh in handles) and np.abs(z).min() > SMALL_Z
+    block = max(SWEEP_BLOCK_POINTS // n, 1) if batched else 1
     lg = log_one_minus(z) if batched else None
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     out = []
@@ -484,9 +483,7 @@ def proof_boundary_value_t2(beta: float, theta, k: float):
 
 
 def _extremal_scan(value_at, n, sense):
-    n = _integer(n, "theta_samples")
-    if n < 256:
-        raise ParameterDomainError(f"theta_samples must be >= 256 (got {n})")
+    n = _integer(n, "theta_samples", 256)
     # 2 pi * i / n, built in place
     th = np.arange(n, dtype=float)
     th *= 2.0 * np.pi

@@ -57,9 +57,7 @@ class JackProbe:
 
 
 def monomial(n: int) -> SchwarzFunction:
-    n = _integer(n, "monomial order")
-    if n < 1:
-        raise ParameterDomainError(f"monomial order must be >= 1 (got {n})")
+    n = _integer(n, "monomial order", 1)
     return SchwarzFunction(f"monomial:{n}", lambda z: z**n)
 
 
@@ -94,9 +92,7 @@ def boundary_argmax(w, r: float, n: int = 1024):
     """
     if not 0.0 < r < 1.0:
         raise DiskDomainError(f"probe radius must be in (0, 1) (got {_beta_text(r)})")
-    n = _integer(n, "angular sample count")
-    if n < 256:
-        raise ParameterDomainError(f"angular sample count must be >= 256 (got {n})")
+    n = _integer(n, "angular sample count", 256)
     th = 2.0 * np.pi * np.arange(n) / n
     vals = np.abs(np.asarray(w(r * np.exp(1j * th))))
     if vals.max() < DEGENERATE_TOL:

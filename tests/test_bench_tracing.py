@@ -32,35 +32,40 @@ def test_install_patches_every_name_and_uninstall_restores_it():
         assert getattr(owner, attr) is original, (owner, attr)
 
 
-def test_traced_commands_reach_the_patched_names(tmp_path):
-    out = str(tmp_path / "out.txt")
+def _traced_spans(argvs, out):
+    """The spans of the CLI commands argvs, each run under the tracer."""
     tracer = _tracer()
     tracer.install()
     try:
-        for argv in (
-            ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
-             "--angles", "256", "--threads", "2"],
-            ["proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "256"],
-            ["proof-scan", "--theorem", "2", "--beta", "3", "--theta-steps", "256"],
-            ["jack", "--w", "induced:t2:ex2_pos:3", "--r", "0.9", "--n", "256"],
-        ):
+        for argv in argvs:
             assert cli.main(argv + ["--out", out]) == 0, argv
     finally:
         tracer.uninstall()
-    by_id = {s[0]: s for s in tracer.spans}
+    return tracer.spans
 
-    def under(name, parent):
-        """Whether a span called name has an ancestor called parent."""
-        for span in tracer.spans:
-            if span[2] != name:
-                continue
-            up = span
-            while up[1]:
-                up = by_id[up[1]]
-                if up[2] == parent:
-                    return True
-        return False
 
+def _under(spans, name, parent):
+    """Whether a span called name has an ancestor called parent."""
+    by_id = {s[0]: s for s in spans}
+    for span in spans:
+        if span[2] != name:
+            continue
+        up = span
+        while up[1]:
+            up = by_id[up[1]]
+            if up[2] == parent:
+                return True
+    return False
+
+
+def test_traced_commands_reach_the_patched_names(tmp_path):
+    spans = _traced_spans([
+        ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5",
+         "--angles", "256", "--threads", "2"],
+        ["proof-scan", "--theorem", "1", "--beta", "2.5", "--theta-steps", "256"],
+        ["proof-scan", "--theorem", "2", "--beta", "3", "--theta-steps", "256"],
+        ["jack", "--w", "induced:t2:ex2_pos:3", "--r", "0.9", "--n", "256"],
+    ], str(tmp_path / "out.txt"))
     # span names are those of the modules defining the patched functions
     for name, parent in (
         ("analytic_core.eval_jet", "criteria.run_t1"),  # in the pool's workers
@@ -73,4 +78,14 @@ def test_traced_commands_reach_the_patched_names(tmp_path):
         ("analytic_core.mobius_invert_t2", "jack.w"),
         ("jack.w", "search.golden_max"),
     ):
-        assert under(name, parent), (name, parent)
+        assert _under(spans, name, parent), (name, parent)
+
+
+def test_a_traced_sweep_reaches_the_patched_names(tmp_path):
+    spans = _traced_spans([
+        ["sweep", "--theorem", "1", "--family", "ex1_high", "--beta-min", "2.1",
+         "--beta-max", "2.9", "--steps", "8", "--angles", "256"],
+    ], str(tmp_path / "out.txt"))
+    for name in ("criteria.t1_bound", "analytic_core.mobius_invert_t1",
+                 "families.make_family", "cli._emit"):
+        assert _under(spans, name, "cli.cmd_sweep"), name

@@ -551,7 +551,7 @@ def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
 def _outcome(call):
     try:
         return call()
-    except (CriticalPointError, FunctionZeroError, PoleError) as exc:
+    except (CriticalPointError, FunctionZeroError, PoleError, ParameterDomainError) as exc:
         return type(exc), str(exc)
 
 
@@ -607,6 +607,49 @@ def test_sweep_replays_a_failed_block_with_the_per_beta_error(
     expected = _outcome(lambda: _per_beta(handles, betas, small_grid, 1))
     assert expected[0] is error
     assert _outcome(lambda: sd.sweep(handles, betas, small_grid, 1)) == expected
+
+
+# (mu of each power handle, r, angles, theorem, betas, the start of the
+# first failing beta's message, whether the block's zero counts refine
+# arcs): |mu| > 6, so f/z is counted as well
+POWER_BLOCK_CASES = [
+    ((-7.0, -7.5), 0.99, 1024, 1, [2.0, 2.5], "f/z has 2 zeros", True),
+    # at 256 angles the counts alias, as in the sweep-negative-count refusal
+    ((-7.0, -7.5), 0.99, 256, 1, [2.0, 2.5], "q - beta counts -1 zeros", True),
+    ((7.0, 6.5), 0.99, 1024, 2, [3.0, 2.0], "f/z has 2 zeros", False),
+    ((-6.5, -7.0), 0.88, 4096, 2, [3.0, 4.0], "1 - beta q has 1 zero", False),
+]
+
+
+@pytest.mark.parametrize("mus, r, angles, theorem, betas, start, refines", POWER_BLOCK_CASES)
+def test_a_power_block_fails_as_its_first_failing_beta(
+        monkeypatch, mus, r, angles, theorem, betas, start, refines):
+    handles = [sd.FunctionHandle("power", f"mu={m}", mu=m) for m in mus]
+    grid = sd.SamplingGrid((r,), angles)
+    alone = [_outcome(lambda: sd.sweep([fh], [b], grid, theorem))
+             for fh, b in zip(handles, betas)]
+    expected = next(o for o in alone if isinstance(o, tuple))
+    assert expected[1].startswith(start)
+    # the block sizes of the scans that took Log(1 - x) off the circle: at
+    # the refinement points of a zero count, for the power jet of its rows
+    inside, refined = [], []
+    real_scan, real_log = criteria._scan, criteria.log_one_minus
+
+    def scan(thm, hs, *args):
+        inside.append(len(hs))
+        try:
+            return real_scan(thm, hs, *args)
+        finally:
+            inside.pop()
+
+    def log_one_minus(x):
+        refined.extend(inside)
+        return real_log(x)
+
+    monkeypatch.setattr(criteria, "_scan", scan)
+    monkeypatch.setattr(criteria, "log_one_minus", log_one_minus)
+    assert _outcome(lambda: sd.sweep(handles, betas, grid, theorem)) == expected
+    assert (len(handles) in refined) == refines
 
 
 @pytest.mark.parametrize("theorem", [1, 2])
