@@ -16,19 +16,14 @@ import sys
 import numpy as np
 
 
-def found_features():
-    """The names np.show_runtime lists as found above numpy's baseline."""
+def main(argv):
+    if argv not in (["avx2"], ["x86_v2"]):
+        sys.exit("usage: dispatch_features.py avx2|x86_v2")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         np.show_runtime()
     found = re.search(r"found.: \[([^\]]*)\]", out.getvalue())
-    return re.findall(r"\w+", found[1]) if found else []
-
-
-def main(argv):
-    if argv not in (["avx2"], ["x86_v2"]):
-        sys.exit("usage: dispatch_features.py avx2|x86_v2")
-    names = found_features()
+    names = re.findall(r"\w+", found[1]) if found else []
     if argv == ["avx2"]:
         names = [n for n in names if n == "X86_V4" or n.startswith("AVX512")]
     print(" ".join(names))
