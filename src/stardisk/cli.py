@@ -246,6 +246,12 @@ def cmd_sweep(args) -> int:
     # Validate the whole range first (the families here, a NaN beta too, the bounds
     # in run_sweep) so a straddling range fails before any output is produced.
     handles = [handle_from_name(args.family, b) for b in betas]
+    if args.steps == 1:
+        # linspace samples --beta-min alone; --beta-max is checked as a sampled beta
+        # is: by the family, then by the theorem after --beta-min, as at two steps
+        handle_from_name(args.family, args.beta_max)
+        for b in (args.beta_min, args.beta_max):
+            (t1_bound if args.theorem == 1 else t2_bound)(b)
     lines = [CSV_HEADER]
     for b, (hyp, con) in zip(betas, run_sweep(handles, betas, grid, args.theorem)):
         lines.append(",".join(map(_f, (

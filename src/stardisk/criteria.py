@@ -32,16 +32,17 @@ from .analytic_core import (
     mobius_invert_t2,
     starlike_q,
 )
-from .errors import CriticalPointError, FunctionZeroError, ParameterDomainError, PoleError
+from .errors import (CriticalPointError, FunctionZeroError, ParameterDomainError, PoleError,
+                     StardiskError)
 from .search import golden_max, golden_min, refine_extremum
 
 # Theorem 2's bound and boundary value multiply beta^2 by small constants,
 # which overflows to inf (and then NaN) from |beta| ~ 1e154 on.
 T2_BETA_MAX = 1e150
-# A sweep scans max(SWEEP_BLOCK_POINTS // angular_count, 1) power handles in
-# one array pass over its circle, of block x (angular_count // 2 + 1) points
-# (power handles have real coefficients), about half of this.  Full-circle
-# passes of 2**16 points were no faster and raised the peak RSS by 11 MB.
+# A sweep scans max(SWEEP_BLOCK_POINTS // angular_count, 1) betas in one array
+# pass over its circle, of block x (angular_count // 2 + 1) points for real
+# coefficients, about half of this.  Full-circle passes of 2**16 points were
+# no faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
 # A zero count reads the phase step between neighbouring samples; an arc
 # whose step exceeds STEP_MAX is halved, at most HALVINGS times.
@@ -134,13 +135,14 @@ def t2_bound(beta: float) -> float:
 
 def _reduce(theorem, beta, z, q, p, w):
     """Reductions over the last (angle) axis of z, q = z f'/f, p = 1 + z f''/f'
-    and w: the extreme of Re p (max for theorem 1, min for theorem 2) and
-    its grid point, max|w|, min Re q and, for theorem 1, the slack of the
-    target disk (None entries for theorem 2).  beta broadcasts against q."""
+    and w, against whose rows beta, z, q and p broadcast: the extreme of Re p
+    (max for theorem 1, min for theorem 2) and its grid point, max|w|, min Re q
+    and, for theorem 1, the slack of the target disk (None for theorem 2)."""
+    z, q, p = np.broadcast_arrays(z, q, p, w)[:3]
     re_p = p.real
     i = (np.argmax if theorem == 1 else np.argmin)(re_p, axis=-1, keepdims=True)
     extreme = np.take_along_axis(re_p, i, axis=-1)[..., 0]
-    witness = np.take_along_axis(np.broadcast_to(z, p.shape), i, axis=-1)[..., 0]
+    witness = np.take_along_axis(z, i, axis=-1)[..., 0]
     if theorem == 1:
         c = beta / (beta + 1.0)
         slack = (c - np.abs(q - c).max(axis=-1, keepdims=True))[..., 0]
@@ -224,9 +226,9 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
     from a jet that lg picks: given lg = Log(1 - z), which has no small-z
     patch (z must keep |z| > SMALL_Z), the jet of a block of power handles,
     one or more, as one (betas x angles) array over it; with lg None, that
-    of the one handle through its own eval_jet.  The guard of p runs first,
-    so a circle holding zeros of both f' and f raises CriticalPointError,
-    and each jet array is dropped once used.
+    of the one handle (every row is handles[0]) as one row through its own
+    eval_jet.  The guard of p runs first, so a circle holding zeros of both
+    f' and f raises CriticalPointError, and each jet array is dropped once used.
 
     certify = (r, n) counts, after each guard, the zeros inside z = r e^{i
     theta} (see _zero_count) of f' and f/z, where analytic_core._may_vanish
@@ -353,14 +355,13 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     per-beta run_t1/run_t2 calls on SamplingGrid((r_max,), grid.angular_count).
 
     The theorem, the list lengths and every bound are checked before any
-    work.  When every handle is power-form and every point of the circle
-    has |z| > SMALL_Z, whatever the step and angle counts, one Log(1 - z)
-    serves every beta, scanned in blocks of max(SWEEP_BLOCK_POINTS //
-    angular_count, 1), one (betas x angles) array pass per block; else the
-    betas are scanned one at a time through eval_jet, all on one thread.  A
-    block where a guard fires is replayed beta by beta, so the error raised
-    is that of the first beta that fails alone.  Nothing is returned before
-    every beta is done.
+    work.  Blocks of max(SWEEP_BLOCK_POINTS // angular_count, 1) betas share
+    one jet and one (betas x angles) array pass when every handle is power
+    form and |z| > SMALL_Z on the circle (one Log(1 - z)), or all are one
+    handle (its eval_jet); else each beta is a block, all on one thread.  A
+    block that raises any StardiskError is replayed beta by beta, so the
+    error raised is that of the first beta that fails alone.  Nothing is
+    returned before every beta is done.
     """
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
@@ -371,9 +372,9 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     r, n = grid.radii[-1], grid.angular_count
     z = r * _unit(handles, grid)
     # |r e^{i theta}| can round below r, so the test is on the points
-    batched = all(fh.kind == "power" for fh in handles) and np.abs(z).min() > SMALL_Z
-    block = max(SWEEP_BLOCK_POINTS // n, 1) if batched else 1
-    lg = log_one_minus(z) if batched else None
+    lg = (log_one_minus(z) if all(fh.kind == "power" for fh in handles)
+          and np.abs(z).min() > SMALL_Z else None)
+    block = max(SWEEP_BLOCK_POINTS // n, 1) if lg is not None or len(set(handles)) == 1 else 1
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     out = []
     for lo in range(0, len(handles), block):
@@ -381,15 +382,14 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
         try:
             reduced = _scan(theorem, hs, bs, z, lg, (r, n))
             w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
-        except (CriticalPointError, FunctionZeroError, PoleError):
+        except StardiskError:
             # the first beta that fails alone raises its own error, else the
             # block's is raised; a block of one is not replayed, or this recurses
             if len(hs) > 1:
                 for fh, b in zip(hs, bs):
                     sweep([fh], [b], grid, theorem)
             raise
-        # a report pair per beta: its bound, w(0) and its one-row lists of
-        # each reduction, as Python scalars
+        # per beta: its bound, w(0) and one-row lists of its reductions, as scalars
         rows = zip(bounds[lo:lo + block], w0.tolist(), *(c[:, None].tolist() for c in reduced))
         out += (_reports(theorem, (r,), *row) for row in rows)
     return out

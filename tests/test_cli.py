@@ -251,6 +251,39 @@ def test_sweep_single_step(tmp_path):
     assert float(lines[1].split(",")[0]) == 2.0
 
 
+# np.linspace(lo, hi, 1) is [lo]; hi is checked as a sampled beta is,
+# by the family first and then by the theorem
+@pytest.mark.parametrize("argv, message", [
+    (["--theorem", "2", "--family", "ex2_neg", "--beta-min=-3", "--beta-max=-0.5"],
+     "family ex2_neg needs beta <= -1 (got beta = -0.5)"),
+    (["--theorem", "1", "--family", "ex1_high", "--beta-min", "2", "--beta-max", "99"],
+     "family ex1_high needs 2 <= beta < 3 (got beta = 99)"),
+    (["--theorem", "1", "--family", "builtin_koebe", "--beta-min", "2", "--beta-max", "5"],
+     "theorem 1 needs 1 < beta < 3 (got 5)"),
+    # both out of the theorem's interval: --beta-min is named, as at two steps
+    (["--theorem", "1", "--family", "builtin_koebe", "--beta-min", "0.5", "--beta-max", "5"],
+     "theorem 1 needs 1 < beta < 3 (got 0.5)"),
+])
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_sweep_checks_beta_max_at_any_step_count(tmp_path, capsys, argv, message, steps):
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", *argv, "--steps", steps, "--angles", "64",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_fails_at_the_first_beta_that_fails_alone(capsys):
+    # beta = 2 has a pole inside the circle; at 8 angles the phase of
+    # q - 2.9 turns too fast to count, a domain error (exit 2) if it came first
+    argv = ["sweep", "--theorem", "1", "--family", "builtin_halfplane", "--beta-min", "2",
+            "--beta-max", "2.9", "--steps", "2", "--radii", "0.999999", "--angles", "8"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr() == ("", (
+        "check failed: q - beta has 1 zero in |z| < 0.999999 (beta = 2); "
+        "the inverse map has a pole there\n"))
+
+
 def test_sweep_ends_at_beta_max_exactly(tmp_path):
     # -2.5 + 187 * (1.5 / 187) rounds to -0.9999999999999998, outside ex2_neg
     out = tmp_path / "sweep.csv"

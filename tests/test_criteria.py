@@ -468,6 +468,9 @@ SWEEP_CASES = {
     "ex2_pos": (2, _steps(1.2, 6.0, 23)),
     "ex2_neg": (2, _steps(-6.0, -1.0, 23)),
     "builtin_quadratic": (1, _steps(1.5, 2.5, 4)),
+    "builtin_koebe": (2, [-4.0, -3.0, -2.0, -1.0]),
+    "builtin_halfplane": (2, [-4.0, -2.0, 2.0, 3.0]),
+    "builtin_monomial:3": (1, [1.5, 2.0, 2.5]),
     # power, log (mu ~ 0), power, power: the log point makes every beta
     # a block of its own
     "ex2_pos_mixed": (2, [2.3, LOG_POINT, 2.5, 2.6]),
@@ -529,6 +532,7 @@ ROUNDS_TO_SMALL_Z = float(np.nextafter(analytic_core.SMALL_Z, 1.0))
     ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [16, 7]),
     ((0.5, 0.9, 0.99), 4096, [2.1, 2.5, 2.9], [2, 1]),
     ((1e-7,), 256, [2.1, 2.5], [1, 1]),  # |z| <= SMALL_Z: one beta at a time
+    ((1e-7,), 256, [2.5, 2.5], [2]),  # but one repeated handle shares its eval_jet
     ((0.5, 0.9, 0.99), 8192, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta fills a pass
     ((0.5, 0.9, 0.99), 16384, [2.1, 2.5, 2.9], [1, 1, 1]),  # one beta > the budget
     ((ROUNDS_TO_SMALL_Z,), 256, [2.1, 2.5], [1, 1]),
@@ -537,6 +541,32 @@ def test_sweep_block_edges(monkeypatch, radii, angles, betas, sizes):
     grid = sd.SamplingGrid(radii, angles)
     handles = _handles("ex1_high", betas)
     assert _block_sizes(monkeypatch, handles, betas, grid, 1) == sizes
+
+
+# 256 angles scan 129 points, so a block holds 8192 // 256 = 32 betas
+@pytest.mark.parametrize("steps, sizes", [(16, [16]), (40, [32, 8])])
+def test_sweep_blocks_a_repeated_handle(monkeypatch, steps, sizes):
+    betas = _steps(1.5, 2.5, steps)
+    handles = _handles("builtin_quadratic", betas)
+    grid = sd.SamplingGrid((0.5, 0.9), 256)
+    assert _block_sizes(monkeypatch, handles, betas, grid, 1) == sizes
+
+
+def test_a_repeated_handle_takes_one_jet_a_block(monkeypatch):
+    betas = _steps(1.5, 2.5, 16)
+    handles = _handles("builtin_quadratic", betas)
+    grid = sd.SamplingGrid((0.5, 0.9), 256)
+    expected = _per_beta(handles, betas, grid, 1)
+    sizes = []
+    real = analytic_core.eval_jet
+
+    def eval_jet(fh, z):
+        sizes.append(np.size(z))
+        return real(fh, z)
+
+    monkeypatch.setattr(analytic_core, "eval_jet", eval_jet)
+    assert sd.sweep(handles, betas, grid, 1) == expected
+    assert sizes == [129]
 
 
 def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
@@ -618,6 +648,9 @@ POWER_BLOCK_CASES = [
     ((-7.0, -7.5), 0.99, 256, 1, [2.0, 2.5], "q - beta counts -1 zeros", True),
     ((7.0, 6.5), 0.99, 1024, 2, [3.0, 2.0], "f/z has 2 zeros", False),
     ((-6.5, -7.0), 0.88, 4096, 2, [3.0, 4.0], "1 - beta q has 1 zero", False),
+    # the half plane as a power form: the pole of beta = 2, not the
+    # unresolved arc of 2.9 (a ParameterDomainError) that the block meets
+    ((-1.0, -1.0), 0.999999, 8, 1, [2.0, 2.9], "q - beta has 1 zero", True),
 ]
 
 

@@ -22,6 +22,7 @@ Regenerate (only when a report change is intended) with
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -123,23 +124,35 @@ CASES = {
     "plot_t1_ex1_low_odd_angles": [
         "plot", "--theorem", "1", "--family", "ex1_low", "--beta", "1.5",
         "--angles", "77", "--out", "{out}"],
+    # argparse's usage and option text, which exits through SystemExit(0)
+    "help": ["--help"],
+    "help_verify": ["verify", "--help"],
+    "help_sweep": ["sweep", "--help"],
+    "help_proof_scan": ["proof-scan", "--help"],
+    "help_jack": ["jack", "--help"],
+    "help_plot": ["plot", "--help"],
 }
 
 
 def transcript(argv, workdir: Path) -> str:
-    """Exit code, stdout, stderr and the --out report of one CLI call."""
+    """Exit code, stdout, stderr and the --out report of one CLI call; an
+    argparse exit is recorded by its SystemExit code."""
     out = workdir / "report"
     argv = [str(out) if a == "{out}" else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     report = out.read_text() if out.exists() else ""
     return (f"exit {code}\n--- stdout\n{stdout.getvalue()}"
             f"--- stderr\n{stderr.getvalue()}--- report\n{report}")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path):
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode()
     assert transcript(CASES[name], tmp_path) == expected
 
@@ -147,6 +160,7 @@ def test_golden_output(name, tmp_path):
 def regenerate() -> None:
     import tempfile
 
+    os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:

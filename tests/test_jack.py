@@ -53,6 +53,14 @@ def test_degenerate_schwarz_rejected():
         sd.boundary_argmax(sd.schwarz_monomial(30), 0.3, 1024)
 
 
+def test_probe_rejects_a_w_that_vanishes_at_its_argmax():
+    # w(z) = z on the grid, but a scalar point gives 0: the argmax is found,
+    # then w(z0) vanishes there
+    w = sd.SchwarzFunction("scalar-zero", lambda z: z if np.ndim(z) else 0j)
+    with pytest.raises(DegenerateSchwarzError, match="^w vanishes at the boundary argmax$"):
+        sd.jack_probe(w, 0.5, 256)
+
+
 def test_probe_monomials_exact():
     for n in (1, 2, 5):
         for r in (0.5, 0.9, 0.99):
