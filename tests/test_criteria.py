@@ -152,6 +152,22 @@ def test_complex_coefficients_keep_the_full_circle():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_a_circle_raises_its_p_guard_before_an_earlier_zero_of_f(threads):
+    # f = z + a2 z^2 + a3 z^3 with f/z = 0 at angle 100 and f' = 0 at angle
+    # 40000 of the full circle: the p guard runs over the whole circle
+    # first, so the critical point is named, not the zero met first
+    grid = sd.SamplingGrid((0.9,), 2**16)
+    z = 0.9 * np.exp(1j * grid.angles())
+    z1, z2 = z[100], z[40000]
+    a2, a3 = np.linalg.solve([[z1, z1 * z1], [2.0 * z2, 3.0 * z2 * z2]], [-1.0, -1.0])
+    fh = sd.series((complex(a2), complex(a3)))
+    with pytest.raises(FunctionZeroError):
+        sd.starlike_q(fh, z[100:101])
+    with pytest.raises(CriticalPointError, match=r"z = \(-0\.6921930038810218-0\.5752120003773982j\)"):
+        sd.run_t1(fh, 2.5, grid, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("family, points", [
     ("ex1_high", 257),  # real coefficients: theta in [0, pi]
     ("complex", 512),  # z + 0.3i z^2: the full circle
