@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -44,6 +45,13 @@ T2_BETA_MAX = 1e150
 # coefficients, about half of this.  Full-circle passes of 2**16 points were
 # no faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
+# verify scans each circle in slices of at most SCAN_CHUNK_POINTS angles, so
+# that no temporary of a scan is a fresh mmap whatever the angle count.  A
+# run_t1 at 2**18 angles x 4 radii on 2 threads (2-core Xeon) took 126-133 ms
+# in slices of 2**11, 68-80 ms in 2**13 and 54-56 ms in 2**14 (each slice is
+# one Python-level _scan, and the workers share the GIL); 2**15 was no
+# faster and its tracemalloc peak was 8.5 MB against 5.3.
+SCAN_CHUNK_POINTS = 2**14
 # A zero count reads the phase step between neighbouring samples; an arc
 # whose step exceeds STEP_MAX is halved, at most HALVINGS times.
 STEP_MAX = np.pi / 2
@@ -153,7 +161,7 @@ def _reduce(theorem, beta, z, q, p, w):
 
 def _reports(theorem, radii, bound, w0, extreme, witness, max_abs_w, min_re_q, slack):
     """The (HypothesisReport, ConclusionReport) of one beta from its
-    per-radius reductions of _reduce, as lists of Python scalars."""
+    per-radius reductions of _reduce, as sequences of Python scalars."""
     if theorem == 1:
         satisfied = all(e < bound for e in extreme)
         margin = bound - extreme[-1]
@@ -303,38 +311,67 @@ def _unit(handles, grid):
     so Re p, Re q, |w| and |q - c| take the same value at theta and -theta:
     only the angles theta_j, j = 0..angular_count // 2, which hold one
     angle of each mirror pair, are scanned (theta in [0, pi]).  A series
-    with a complex coefficient scans the full circle.
+    with a complex coefficient scans the full circle.  The exponential is
+    taken on the scanned angles alone.
     """
+    n = grid.angular_count
     half = all(c.imag == 0.0 for fh in handles for c in fh.coeffs)
-    return np.exp(1j * grid.angles())[:grid.angular_count // 2 + 1 if half else None]
+    # the bits of grid.angles() at those angles
+    return np.exp(1j * (2.0 * np.pi * np.arange(n // 2 + 1 if half else n) / n))
+
+
+def _circle(theorem, parts):
+    """One circle's _reduce results, as Python scalars, from those of its
+    slices in angle order: the first extreme of Re p over the slices' own
+    first extremes is that of the whole row, as np.argmax picks it, and
+    the witness is its slice's; max|w|, min Re q and the disk slack are a
+    max, min and min over the slices (c - x rounds monotonically in x, so
+    min_k (c - m_k) is c - max_k m_k bit for bit)."""
+    extreme, witness, max_abs_w, min_re_q, slack = (np.concatenate(c) for c in zip(*parts))
+    i = (np.argmax if theorem == 1 else np.argmin)(extreme)
+    return (extreme[i].item(), witness[i].item(), max_abs_w.max().item(),
+            min_re_q.min().item(), slack.min().item() if theorem == 1 else None)
 
 
 def _run(fh, beta, grid, theorem, threads):
     """The (HypothesisReport, ConclusionReport) of fh at beta on every
     circle of the grid, at the angles of _unit.  The thread count and the
-    bound are checked before any work.  The circles are scanned one by one,
-    on a thread pool over the radii when threads > 1; pool.map keeps their
-    order, so the reports do not depend on the worker count.
+    bound are checked before any work.  Each circle is scanned in slices of
+    at most SCAN_CHUNK_POINTS angles, one _scan per (radius, slice) job,
+    and its slices' reductions are combined exactly (_circle).  With
+    threads > 1 every job of every radius goes on one thread pool, whose
+    map keeps their order, so the reports do not depend on the worker
+    count or the slice size.  A job that raises any StardiskError has the
+    circles scanned whole, radius by radius, so the error raised is that
+    of the first circle, with _scan's guard order over the whole of it.
     """
     threads = _integer(threads, "threads", 1)
     bound = (t1_bound if theorem == 1 else t2_bound)(beta)
     unit = _unit([fh], grid)
+    slices = [unit[i:i + SCAN_CHUNK_POINTS] for i in range(0, unit.size, SCAN_CHUNK_POINTS)]
+    jobs = [(r, u) for r in grid.radii for u in slices]
 
-    def scan(r):
-        return _scan(theorem, [fh], [beta], r * unit, None)
+    def scan(job):
+        r, u = job
+        return _scan(theorem, [fh], [beta], r * u, None)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(scan, grid.radii))
-    else:
-        rows = [scan(r) for r in grid.radii]
+    try:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(scan, jobs))
+        else:
+            parts = [scan(job) for job in jobs]
+    except StardiskError:
+        for r in grid.radii:
+            scan((r, unit))
+        raise
+    k = len(slices)
+    rows = [_circle(theorem, parts[i:i + k]) for i in range(0, len(parts), k)]
     # q(0) = 1 + a_2 * 0 has real part exactly 1 for every handle, so
     # w(0) needs no jet; the check still raises the pole of beta -> 1.
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     w0 = invert(np.asarray([beta]), np.ones(1, dtype=complex)).item()
-    # each reduction as a per-radius list of Python scalars
-    return _reports(theorem, grid.radii, bound, w0,
-                    *(np.concatenate(col).tolist() for col in zip(*rows)))
+    return _reports(theorem, grid.radii, bound, w0, *zip(*rows))
 
 
 def sweep(handles, betas, grid: SamplingGrid, theorem: int):
@@ -355,13 +392,14 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     per-beta run_t1/run_t2 calls on SamplingGrid((r_max,), grid.angular_count).
 
     The theorem, the list lengths and every bound are checked before any
-    work.  Blocks of max(SWEEP_BLOCK_POINTS // angular_count, 1) betas share
-    one jet and one (betas x angles) array pass when every handle is power
-    form and |z| > SMALL_Z on the circle (one Log(1 - z)), or all are one
-    handle (its eval_jet); else each beta is a block, all on one thread.  A
-    block that raises any StardiskError is replayed beta by beta, so the
-    error raised is that of the first beta that fails alone.  Nothing is
-    returned before every beta is done.
+    work.  The betas are scanned in blocks, all on one thread: runs of
+    consecutive betas with one route, cut every max(SWEEP_BLOCK_POINTS //
+    angular_count, 1) betas.  A route is the power form with |z| > SMALL_Z
+    on the circle, whose blocks share one Log(1 - z), or one handle
+    repeated, whose block shares its eval_jet; a block is one jet and one
+    (betas x angles) array pass.  A block that raises any StardiskError is
+    replayed beta by beta, so the error raised is that of the first beta
+    that fails alone.  Nothing is returned before every beta is done.
     """
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
@@ -372,15 +410,22 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     r, n = grid.radii[-1], grid.angular_count
     z = r * _unit(handles, grid)
     # |r e^{i theta}| can round below r, so the test is on the points
-    lg = (log_one_minus(z) if all(fh.kind == "power" for fh in handles)
-          and np.abs(z).min() > SMALL_Z else None)
-    block = max(SWEEP_BLOCK_POINTS // n, 1) if lg is not None or len(set(handles)) == 1 else 1
+    clear = np.abs(z).min() > SMALL_Z
+    # a beta's route: None for the power form over lg, else its own handle
+    routes = [None if clear and fh.kind == "power" else fh for fh in handles]
+    lg = log_one_minus(z) if None in routes else None
+    size = max(SWEEP_BLOCK_POINTS // n, 1)
+    blocks, lo = [], 0
+    for route, run in groupby(routes):
+        end = lo + len(list(run))
+        blocks += ((i, min(i + size, end), route) for i in range(lo, end, size))
+        lo = end
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     out = []
-    for lo in range(0, len(handles), block):
-        hs, bs = handles[lo:lo + block], betas[lo:lo + block]
+    for lo, hi, route in blocks:
+        hs, bs = handles[lo:hi], betas[lo:hi]
         try:
-            reduced = _scan(theorem, hs, bs, z, lg, (r, n))
+            reduced = _scan(theorem, hs, bs, z, lg if route is None else None, (r, n))
             w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
         except StardiskError:
             # the first beta that fails alone raises its own error, else the
@@ -390,7 +435,7 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
                     sweep([fh], [b], grid, theorem)
             raise
         # per beta: its bound, w(0) and one-row lists of its reductions, as scalars
-        rows = zip(bounds[lo:lo + block], w0.tolist(), *(c[:, None].tolist() for c in reduced))
+        rows = zip(bounds[lo:hi], w0.tolist(), *(c[:, None].tolist() for c in reduced))
         out += (_reports(theorem, (r,), *row) for row in rows)
     return out
 

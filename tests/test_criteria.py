@@ -188,6 +188,68 @@ def test_run_evaluates_one_jet_per_circle(monkeypatch, family, points, threads):
     assert sizes == [points] * 3
 
 
+# (handle, theorem, beta, angles): the paper families, the log-limit point,
+# the identity (Re p = 1 at every angle: the first tie wins), a complex
+# coefficient (the full circle) and an odd angle count
+CHUNK_CASES = [
+    ("ex1_high", 1, 2.5, 4096),
+    ("ex1_low", 1, 1.5, 4096),
+    ("ex2_pos", 2, 3.0, 4096),
+    ("ex2_neg", 2, -2.0, 4096),
+    ("ex2_pos", 2, 1.0 + math.sqrt(2.0), 4096),
+    ("identity", 1, 2.0, 4096),
+    ("complex", 1, 2.5, 4096),
+    ("complex", 2, 3.0, 4096),
+    ("ex1_high", 1, 2.9, 4095),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("family, theorem, beta, angles", CHUNK_CASES)
+def test_scan_chunks_change_no_report(monkeypatch, family, theorem, beta, angles, threads):
+    fh = {"identity": sd.monomial(1), "complex": sd.series((0.3j, -0.1))}.get(family)
+    fh = fh or sd.make_family(sd.FamilySpec(family, beta))
+    run = sd.run_t1 if theorem == 1 else sd.run_t2
+    grid = sd.SamplingGrid((0.5, 0.9, 0.99, 0.999), angles)
+    reports = []
+    for chunk in (8, 1000, angles):
+        monkeypatch.setattr(criteria, "SCAN_CHUNK_POINTS", chunk)
+        reports.append(run(fh, beta, grid, threads))
+    assert reports[0] == reports[1] == reports[2]
+    # and bit for bit, -0.0 and the witness included
+    assert len({repr(r) for r in reports}) == 1
+
+
+def test_a_verify_scan_takes_chunks_of_the_half_circle(monkeypatch):
+    # 2**16 angles scan 2**15 + 1 points a circle, in slices of 2**14 at most
+    fh = sd.make_family(sd.FamilySpec("ex1_high", 2.5))
+    sizes = []
+    real = analytic_core.eval_jet
+
+    def spy(handle, z):
+        sizes.append(np.size(z))
+        return real(handle, z)
+
+    monkeypatch.setattr(analytic_core, "eval_jet", spy)
+    sd.run_t1(fh, 2.5, sd.SamplingGrid((0.5, 0.9, 0.99), 2**16), 2)
+    assert max(sizes) <= 2**14
+    assert sum(sizes) == 3 * (2**15 + 1)
+
+
+def test_verify_peak_memory_does_not_grow_with_the_angles():
+    # slices of 2**14 points peak near 5 MB here, the 2 MB half circle
+    # included; whole circles of 2**17 + 1 points took 28 MB
+    fh = sd.make_family(sd.FamilySpec("ex1_high", 2.5))
+    grid = sd.SamplingGrid((0.5, 0.9, 0.99, 0.999), 2**18)
+    tracemalloc.start()
+    try:
+        sd.run_t1(fh, 2.5, grid, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # ------------------------------------------------------------------ theorem 2
 
 def test_run_t2_halfplane_case(grid):
@@ -487,8 +549,7 @@ SWEEP_CASES = {
     "builtin_koebe": (2, [-4.0, -3.0, -2.0, -1.0]),
     "builtin_halfplane": (2, [-4.0, -2.0, 2.0, 3.0]),
     "builtin_monomial:3": (1, [1.5, 2.0, 2.5]),
-    # power, log (mu ~ 0), power, power: the log point makes every beta
-    # a block of its own
+    # power, log (mu ~ 0), power, power: the log point cuts the blocks
     "ex2_pos_mixed": (2, [2.3, LOG_POINT, 2.5, 2.6]),
 }
 
@@ -586,12 +647,19 @@ def test_a_repeated_handle_takes_one_jet_a_block(monkeypatch):
 
 
 def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
-    # blocks are cut only from an all-power list; one other kind scans
-    # every beta on its own
+    # a block is a run of one route: the log point cuts the power betas
+    # around it, and is a block of its own
     betas = [2.3, 2.35, LOG_POINT, 2.5, 2.6]
     handles = _handles("ex2_pos", betas)
     assert [fh.kind for fh in handles] == ["power", "power", "log", "power", "power"]
-    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [1, 1, 1, 1, 1]
+    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [2, 1, 2]
+
+
+def test_a_sweep_from_the_log_point_keeps_its_power_blocks(monkeypatch, small_grid):
+    betas = _steps(LOG_POINT, 6.0, 40)
+    handles = _handles("ex2_pos", betas)
+    assert [fh.kind for fh in handles[:2]] == ["log", "power"]
+    assert _block_sizes(monkeypatch, handles, betas, small_grid, 2) == [1, 16, 16, 7]
 
 
 def _outcome(call):
