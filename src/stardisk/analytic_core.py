@@ -244,6 +244,12 @@ def _may_vanish(handles):
     return series, series or any(fh.kind == "power" and abs(fh.mu) > 6.0 for fh in handles)
 
 
+def _real(handles):
+    """Whether every handle has real Taylor coefficients (all but a series
+    with a complex one): then Re p, Re q, |w| and |q - c| are even in theta."""
+    return all(c.imag == 0.0 for fh in handles for c in fh.coeffs)
+
+
 def eval_jet(fh: FunctionHandle, z) -> Jet2:
     """Second-order jet (f, f', f'') of the handle at points of the disk."""
     arr = np.asarray(z, dtype=complex)
@@ -252,6 +258,29 @@ def eval_jet(fh: FunctionHandle, z) -> Jet2:
     if np.ndim(z) == 0:
         return Jet2(complex(f), complex(df), complex(d2f))
     return Jet2(np.asarray(f), np.asarray(df), np.asarray(d2f))
+
+
+def _routes(handles, z):
+    """Each handle's scan route on the points z of one circle, and the
+    Log(1 - z) that the None routes share (None when there is none): a
+    power handle's route is None, its power form over that Log, which has
+    no small-z patch, when every |z| > SMALL_Z; any other handle is its own."""
+    # |r e^{i theta}| can round below r, so the test is on the points
+    clear = np.abs(z).min() > SMALL_Z
+    routes = [None if clear and fh.kind == "power" else fh for fh in handles]
+    return routes, (log_one_minus(z) if None in routes else None)
+
+
+def _block_jet(handles, z, lg):
+    """The jet (f, f', f'') on z of a block of one route, as rows, and
+    jet(rows, x), that of those rows at points x: the power form over lg =
+    Log(1 - z), a row per handle, or with lg None one row of handles[0]'s
+    eval_jet, looked up at call time, where a span tracer may replace it."""
+    if lg is None:
+        return eval_jet(handles[0], z[None]), lambda rows, x: eval_jet(handles[0], x)
+    _require_in_disk(z)
+    mu = np.array([fh.mu for fh in handles])
+    return _power_jet(mu[:, None], lg), lambda rows, x: _power_jet(mu[rows], log_one_minus(x))
 
 
 def _a2(fh) -> complex:

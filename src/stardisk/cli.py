@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=NEGATIVE_HELP.format("--beta"))
     _add_grid_args(verify)
     verify.add_argument("--threads", type=int, default=1,
-                        help="worker threads, >= 1, splitting the radii; "
+                        help="worker threads, >= 1, sharing the (radius, slice) jobs; "
                         "reports do not depend on the count")
     verify.add_argument(
         "--timing",

@@ -18,17 +18,13 @@ import numpy as np
 
 from . import analytic_core
 from .analytic_core import (
-    SMALL_Z,
     FunctionHandle,
     SamplingGrid,
     _beta_text,
     _integer,
     _p_from_jet,
-    _power_jet,
     _q_from_jet,
-    _require_in_disk,
     convexity_p,
-    log_one_minus,
     mobius_invert_t1,
     mobius_invert_t2,
     starlike_q,
@@ -45,12 +41,13 @@ T2_BETA_MAX = 1e150
 # coefficients, about half of this.  Full-circle passes of 2**16 points were
 # no faster and raised the peak RSS by 11 MB.
 SWEEP_BLOCK_POINTS = 2**13
-# verify scans each circle in slices of at most SCAN_CHUNK_POINTS angles, so
-# that no temporary of a scan is a fresh mmap whatever the angle count.  A
-# run_t1 at 2**18 angles x 4 radii on 2 threads (2-core Xeon) took 126-133 ms
-# in slices of 2**11, 68-80 ms in 2**13 and 54-56 ms in 2**14 (each slice is
-# one Python-level _scan, and the workers share the GIL); 2**15 was no
-# faster and its tracemalloc peak was 8.5 MB against 5.3.
+# verify scans each circle in the fewest slices of at most SCAN_CHUNK_POINTS
+# angles, sizes within one of each other, so no temporary of a scan is a
+# fresh mmap whatever the angle count.  A run_t1 at 2**18 angles x 4 radii on
+# 2 threads (2-core Xeon) took 126-133 ms in slices of 2**11, 68-80 ms in
+# 2**13 and 54-56 ms in 2**14 (each slice is one Python-level _scan, and the
+# workers share the GIL); 2**15 was no faster and its tracemalloc peak was
+# 8.5 MB against 5.3.
 SCAN_CHUNK_POINTS = 2**14
 # A zero count reads the phase step between neighbouring samples; an arc
 # whose step exceeds STEP_MAX is halved, at most HALVINGS times.
@@ -230,13 +227,10 @@ def _zero_count(v, value_at, r, n, what):
 
 
 def _scan(theorem, handles, betas, z, lg, certify=None):
-    """The _reduce results of the handles at their betas on one circle z,
-    from a jet that lg picks: given lg = Log(1 - z), which has no small-z
-    patch (z must keep |z| > SMALL_Z), the jet of a block of power handles,
-    one or more, as one (betas x angles) array over it; with lg None, that
-    of the one handle (every row is handles[0]) as one row through its own
-    eval_jet.  The guard of p runs first, so a circle holding zeros of both
-    f' and f raises CriticalPointError, and each jet array is dropped once used.
+    """The _reduce results of a block of one route on one circle z, the
+    handles at their betas, from analytic_core._block_jet over lg.  The
+    guard of p runs first, so a circle holding zeros of both f' and f
+    raises CriticalPointError, and each jet array is dropped once used.
 
     certify = (r, n) counts, after each guard, the zeros inside z = r e^{i
     theta} (see _zero_count) of f' and f/z, where analytic_core._may_vanish
@@ -245,19 +239,7 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
     count, which only an aliased count gives, raises ParameterDomainError.
     """
     b = np.asarray(betas)
-    if lg is None:
-        # through the module, where a span tracer may have replaced eval_jet
-        f, df, d2f = analytic_core.eval_jet(handles[0], z[None])
-
-        def jet(rows, x):
-            return analytic_core.eval_jet(handles[0], x)
-    else:
-        _require_in_disk(z)
-        mu = np.array([fh.mu for fh in handles])
-        f, df, d2f = _power_jet(mu[:, None], lg)
-
-        def jet(rows, x):
-            return _power_jet(mu[rows], log_one_minus(x))
+    (f, df, d2f), jet = analytic_core._block_jet(handles, z, lg)
     if theorem == 1:
         def denominator(beta, q):
             return q - beta
@@ -305,17 +287,11 @@ def _scan(theorem, handles, betas, z, lg, certify=None):
 
 
 def _unit(handles, grid):
-    """e^{i theta_j} at the angles a scan of the handles covers.
-
-    When every handle has real Taylor coefficients, f(conj z) = conj f(z),
-    so Re p, Re q, |w| and |q - c| take the same value at theta and -theta:
-    only the angles theta_j, j = 0..angular_count // 2, which hold one
-    angle of each mirror pair, are scanned (theta in [0, pi]).  A series
-    with a complex coefficient scans the full circle.  The exponential is
-    taken on the scanned angles alone.
-    """
+    """e^{i theta_j} at the angles a scan of the handles covers, and at
+    those alone: j = 0..angular_count // 2 (theta in [0, pi], one angle of
+    each mirror pair) when analytic_core._real(handles), else the full circle."""
     n = grid.angular_count
-    half = all(c.imag == 0.0 for fh in handles for c in fh.coeffs)
+    half = analytic_core._real(handles)
     # the bits of grid.angles() at those angles
     return np.exp(1j * (2.0 * np.pi * np.arange(n // 2 + 1 if half else n) / n))
 
@@ -336,9 +312,9 @@ def _circle(theorem, parts):
 def _run(fh, beta, grid, theorem, threads):
     """The (HypothesisReport, ConclusionReport) of fh at beta on every
     circle of the grid, at the angles of _unit.  The thread count and the
-    bound are checked before any work.  Each circle is scanned in slices of
-    at most SCAN_CHUNK_POINTS angles, one _scan per (radius, slice) job,
-    and its slices' reductions are combined exactly (_circle).  With
+    bound are checked before any work.  Each circle is scanned in the fewest
+    even slices of at most SCAN_CHUNK_POINTS angles, one _scan per (radius,
+    slice) job, and its slices' reductions are combined exactly (_circle).  With
     threads > 1 every job of every radius goes on one thread pool, whose
     map keeps their order, so the reports do not depend on the worker
     count or the slice size.  A job that raises any StardiskError has the
@@ -348,7 +324,7 @@ def _run(fh, beta, grid, theorem, threads):
     threads = _integer(threads, "threads", 1)
     bound = (t1_bound if theorem == 1 else t2_bound)(beta)
     unit = _unit([fh], grid)
-    slices = [unit[i:i + SCAN_CHUNK_POINTS] for i in range(0, unit.size, SCAN_CHUNK_POINTS)]
+    slices = np.array_split(unit, -(-unit.size // SCAN_CHUNK_POINTS))
     jobs = [(r, u) for r in grid.radii for u in slices]
 
     def scan(job):
@@ -359,7 +335,7 @@ def _run(fh, beta, grid, theorem, threads):
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(scan, jobs))
-        else:
+        else:  # a pool of one raised 36 verifies' peak RSS from 36.0 to 39.6-39.9 MB (2-core Xeon)
             parts = [scan(job) for job in jobs]
     except StardiskError:
         for r in grid.radii:
@@ -393,13 +369,12 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
 
     The theorem, the list lengths and every bound are checked before any
     work.  The betas are scanned in blocks, all on one thread: runs of
-    consecutive betas with one route, cut every max(SWEEP_BLOCK_POINTS //
-    angular_count, 1) betas.  A route is the power form with |z| > SMALL_Z
-    on the circle, whose blocks share one Log(1 - z), or one handle
-    repeated, whose block shares its eval_jet; a block is one jet and one
-    (betas x angles) array pass.  A block that raises any StardiskError is
-    replayed beta by beta, so the error raised is that of the first beta
-    that fails alone.  Nothing is returned before every beta is done.
+    consecutive betas with one route (analytic_core._routes), cut every
+    max(SWEEP_BLOCK_POINTS // angular_count, 1) betas; a block is one jet
+    (analytic_core._block_jet) and one (betas x angles) array pass.  A
+    block that raises any StardiskError is replayed beta by beta, so the
+    error raised is that of the first beta that fails alone.  Nothing is
+    returned before every beta is done.
     """
     if theorem not in (1, 2):
         raise ParameterDomainError(f"theorem must be 1 or 2 (got {theorem})")
@@ -409,11 +384,7 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
     r, n = grid.radii[-1], grid.angular_count
     z = r * _unit(handles, grid)
-    # |r e^{i theta}| can round below r, so the test is on the points
-    clear = np.abs(z).min() > SMALL_Z
-    # a beta's route: None for the power form over lg, else its own handle
-    routes = [None if clear and fh.kind == "power" else fh for fh in handles]
-    lg = log_one_minus(z) if None in routes else None
+    routes, lg = analytic_core._routes(handles, z)
     size = max(SWEEP_BLOCK_POINTS // n, 1)
     blocks, lo = [], 0
     for route, run in groupby(routes):

@@ -6,6 +6,8 @@ import pytest
 import stardisk as sd
 
 TWO_PI = 2.0 * math.pi
+# SMALL_Z < r, but |r e^{i theta}| rounds to SMALL_Z or below at some angles
+ROUNDS_TO_SMALL_Z = float(np.nextafter(sd.analytic_core.SMALL_Z, 1.0))
 
 
 def circ_dist(a: float, b: float) -> float:

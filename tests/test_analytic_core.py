@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stardisk as sd
+from stardisk import analytic_core
 from stardisk.errors import (
     CriticalPointError,
     DiskDomainError,
@@ -13,7 +14,7 @@ from stardisk.errors import (
     PoleError,
 )
 
-from conftest import handle_zoo, sample_points
+from conftest import ROUNDS_TO_SMALL_Z, handle_zoo, sample_points
 from difference_oracle import derivative_check
 
 
@@ -299,6 +300,71 @@ def test_conjugate_symmetry_of_family_handles():
             b = sd.eval_jet(fh, np.conj(z))
             assert abs(np.conj(a.f) - b.f) <= 1e-13
             assert abs(np.conj(a.df) - b.df) <= 1e-13
+
+
+# ------------------------------------------------- scan routes and block jets
+
+
+def _half_circle(r, n=256):
+    # the points of a real-coefficient scan of |z| = r at n angles
+    return r * np.exp(1j * (2.0 * np.pi * np.arange(n // 2 + 1) / n))
+
+
+def test_power_handles_share_one_log_and_any_other_is_its_own_route():
+    log_point = sd.make_family(sd.FamilySpec("ex2_pos", 1.0 + math.sqrt(2.0)))
+    a, b = (sd.make_family(sd.FamilySpec("ex2_pos", beta)) for beta in (3.0, 4.0))
+    assert [fh.kind for fh in (a, log_point, b)] == ["power", "log", "power"]
+    z = _half_circle(0.9)
+    routes, lg = analytic_core._routes([a, log_point, b], z)
+    assert routes == [None, log_point, None]
+    assert np.array_equal(lg, analytic_core.log_one_minus(z))
+
+
+def test_a_circle_with_a_point_at_small_z_shares_no_log():
+    # Log(1 - z) has no small-z patch, so each power handle is its own route
+    fh = sd.make_family(sd.FamilySpec("ex1_high", 2.5))
+    z = _half_circle(ROUNDS_TO_SMALL_Z)
+    assert np.abs(z).min() <= analytic_core.SMALL_Z < ROUNDS_TO_SMALL_Z
+    assert analytic_core._routes([fh, fh], z) == ([fh, fh], None)
+
+
+def test_a_repeated_builtin_shares_no_log_and_takes_one_row_of_its_jet():
+    fh = sd.quadratic()
+    z = _half_circle(0.9)
+    assert analytic_core._routes([fh] * 3, z) == ([fh] * 3, None)
+    rows, jet = analytic_core._block_jet([fh] * 3, z, None)
+    x = 0.5 * z[:7]
+    for got, own, at_x, own_x in zip(rows, sd.eval_jet(fh, z), jet(np.arange(7) % 3, x),
+                                     sd.eval_jet(fh, x)):
+        assert got.shape == (1, z.size)
+        assert np.array_equal(got[0], own)
+        assert np.array_equal(at_x, own_x)
+
+
+def test_the_power_route_rows_are_each_handles_own_jet_bit_for_bit():
+    handles = [sd.make_family(sd.FamilySpec(family, beta))
+               for family, beta in (("ex1_high", 2.5), ("ex1_low", 1.5), ("ex2_pos", 3.0),
+                                    ("ex2_neg", -2.0))]
+    for r in (0.5, 0.99, 0.999999):
+        z = _half_circle(r, 4096)
+        routes, lg = analytic_core._routes(handles, z)
+        assert routes == [None] * len(handles)
+        rows, jet = analytic_core._block_jet(handles, z, lg)
+        x = 0.5 * z[::97]  # points off the circle, as a zero count refines at
+        for i, fh in enumerate(handles):
+            at_x = jet(np.full(x.size, i), x)
+            for got, own, got_x, own_x in zip(rows, sd.eval_jet(fh, z), at_x,
+                                              sd.eval_jet(fh, x)):
+                assert np.array_equal(got[i], own), (fh.label, r)
+                assert np.array_equal(got_x, own_x), (fh.label, r)
+
+
+def test_a_series_with_a_complex_coefficient_is_not_real():
+    real = [sd.quadratic(), sd.koebe(), sd.halfplane(), sd.monomial(5),
+            sd.series((0.25, -0.125 + 0j)), sd.make_family(sd.FamilySpec("ex1_high", 2.5))]
+    assert analytic_core._real(real)
+    assert not analytic_core._real(real + [sd.series((0.25, 0.1j))])
+    assert not analytic_core._real([sd.series((0.3j,))])
 
 
 def test_grid_validation():

@@ -89,3 +89,9 @@ def test_a_traced_sweep_reaches_the_patched_names(tmp_path):
     for name in ("criteria.t1_bound", "analytic_core.mobius_invert_t1",
                  "families.make_family", "cli._emit"):
         assert _under(spans, name, "cli.cmd_sweep"), name
+    # a builtin sweep is one handle repeated, whose blocks take its eval_jet
+    spans = _traced_spans([
+        ["sweep", "--theorem", "1", "--family", "builtin_quadratic", "--beta-min", "1.5",
+         "--beta-max", "2.5", "--steps", "16", "--angles", "256"],
+    ], str(tmp_path / "out.txt"))
+    assert _under(spans, "analytic_core.eval_jet", "cli.cmd_sweep")

@@ -13,7 +13,7 @@ from stardisk.errors import (
     PoleError,
 )
 
-from conftest import circ_dist, handle_zoo
+from conftest import ROUNDS_TO_SMALL_Z, circ_dist, handle_zoo
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,7 +221,8 @@ def test_scan_chunks_change_no_report(monkeypatch, family, theorem, beta, angles
 
 
 def test_a_verify_scan_takes_chunks_of_the_half_circle(monkeypatch):
-    # 2**16 angles scan 2**15 + 1 points a circle, in slices of 2**14 at most
+    # 2**16 angles scan 2**15 + 1 points a circle, in the fewest slices of
+    # 2**14 at most, of equal size: 3 x 10923, not 16384 + 16384 + 1
     fh = sd.make_family(sd.FamilySpec("ex1_high", 2.5))
     sizes = []
     real = analytic_core.eval_jet
@@ -232,8 +233,7 @@ def test_a_verify_scan_takes_chunks_of_the_half_circle(monkeypatch):
 
     monkeypatch.setattr(analytic_core, "eval_jet", spy)
     sd.run_t1(fh, 2.5, sd.SamplingGrid((0.5, 0.9, 0.99), 2**16), 2)
-    assert max(sizes) <= 2**14
-    assert sum(sizes) == 3 * (2**15 + 1)
+    assert sizes == [10923] * 9
 
 
 def test_verify_peak_memory_does_not_grow_with_the_angles():
@@ -600,10 +600,6 @@ def _block_sizes(monkeypatch, handles, betas, grid, theorem):
     return sizes
 
 
-# SMALL_Z < r, but |r e^{i theta}| rounds to SMALL_Z or below at some angles
-ROUNDS_TO_SMALL_Z = float(np.nextafter(analytic_core.SMALL_Z, 1.0))
-
-
 @pytest.mark.parametrize("radii, angles, betas, sizes", [
     ((0.3, 0.6, 0.9), 512, [2.5], [1]),  # steps = 1
     ((0.3, 0.6, 0.9), 512, _steps(2.0, 2.95, 23), [16, 7]),
@@ -750,7 +746,7 @@ def test_a_power_block_fails_as_its_first_failing_beta(
     # the block sizes of the scans that took Log(1 - x) off the circle: at
     # the refinement points of a zero count, for the power jet of its rows
     inside, refined = [], []
-    real_scan, real_log = criteria._scan, criteria.log_one_minus
+    real_scan, real_log = criteria._scan, analytic_core.log_one_minus
 
     def scan(thm, hs, *args):
         inside.append(len(hs))
@@ -764,7 +760,7 @@ def test_a_power_block_fails_as_its_first_failing_beta(
         return real_log(x)
 
     monkeypatch.setattr(criteria, "_scan", scan)
-    monkeypatch.setattr(criteria, "log_one_minus", log_one_minus)
+    monkeypatch.setattr(analytic_core, "log_one_minus", log_one_minus)
     assert _outcome(lambda: sd.sweep(handles, betas, grid, theorem)) == expected
     assert (len(handles) in refined) == refines
 
