@@ -367,6 +367,48 @@ def test_a_series_with_a_complex_coefficient_is_not_real():
     assert not analytic_core._real([sd.series((0.3j,))])
 
 
+# ------------------------------------------- one point alone and in an array
+
+
+def _bits(values):
+    # the bit pattern of each complex value, so that the sign of a zero counts
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def _alone_and_inside(fn, z):
+    # fn at each point of z alone, and fn at all of them as one array
+    return _bits([fn(complex(x)) for x in z]), _bits(fn(z))
+
+
+def test_a_point_alone_gives_the_bits_it_gives_inside_an_array():
+    # the log-limit, Koebe and half-plane kinds are left out: at AVX2 and
+    # above their lone points take numpy's scalar arithmetic, whose complex
+    # products differ in the last bits from the SIMD loops (ROADMAP item 7)
+    small = analytic_core.SMALL_Z
+    z = np.concatenate([sample_points(300, rmax=0.99, seed=29),
+                        [0j, small, -0.5j * small, small * (0.6 - 0.8j), 1e-9 + 0j]])
+    assert np.abs(z).max() < 0.99
+    families = [sd.make_family(sd.FamilySpec(family, beta))
+                for family, beta in (("ex1_high", 2.5), ("ex1_low", 1.5), ("ex2_pos", 3.0),
+                                     ("ex2_neg", -2.0))]
+    handles = families + [sd.series((0.25, -0.125)), sd.series((0.25, -0.125, 0.05j))]
+    assert [fh.kind for fh in handles] == ["power"] * 4 + ["series"] * 2
+    maps = {}
+    for fh in handles:
+        for part in range(3):
+            maps[f"{fh.label} jet[{part}]"] = lambda x, fh=fh, part=part: sd.eval_jet(fh, x)[part]
+        maps[f"{fh.label} q"] = lambda x, fh=fh: sd.starlike_q(fh, x)
+        maps[f"{fh.label} p"] = lambda x, fh=fh: sd.convexity_p(fh, x)
+    maps["target"] = lambda x: sd.mobius_target(2.5, x)
+    maps["invert_t1"] = lambda x: sd.mobius_invert_t1(2.5, x)
+    maps["invert_t2"] = lambda x: sd.mobius_invert_t2(0.5, x)
+    for w in (sd.induced(1, families[0], 2.5), sd.induced(2, families[2], 3.0)):
+        maps[w.label] = w
+    for name, fn in maps.items():
+        alone, inside = _alone_and_inside(fn, z)
+        assert np.array_equal(alone, inside), name
+
+
 def test_grid_validation():
     with pytest.raises(ParameterDomainError):
         sd.SamplingGrid((0.9, 0.5), 512)
