@@ -138,7 +138,7 @@ def log_one_minus(z):
     arr = np.asarray(z, dtype=complex)
     out = np.log(1.0 - arr)
     small = np.abs(arr) < 1e-8
-    if np.any(small):
+    if np.count_nonzero(small):
         zs = np.where(small, arr, 0.0)
         out = np.where(small, -zs * (1.0 + 0.5 * zs), out)
     return out
@@ -148,7 +148,7 @@ def _refuse(mask, values, error, message, cast=complex):
     """Raise error(message.format(v)) where mask holds anywhere: v is the
     first such entry of values, broadcast to the shape of mask, in row-major
     order, passed through cast."""
-    if np.any(mask):
+    if np.count_nonzero(mask):
         raise error(message.format(cast(np.broadcast_to(values, np.shape(mask))[mask][0])))
 
 
@@ -173,7 +173,7 @@ def _integer(value, name, least=None):
 
 
 def _require_in_disk(arr):
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise DiskDomainError("evaluation points must be finite")
     _refuse(np.abs(arr) >= 1.0, arr, DiskDomainError,
             "|z| >= 1 at z = {}; handles live on the open disk")
@@ -255,7 +255,7 @@ def eval_jet(fh: FunctionHandle, z) -> Jet2:
     arr = np.asarray(z, dtype=complex)
     _require_in_disk(arr)
     f, df, d2f = _EVALUATORS[fh.kind](fh, arr)
-    if np.ndim(z) == 0:
+    if arr.ndim == 0:
         return Jet2(complex(f), complex(df), complex(d2f))
     return Jet2(np.asarray(f), np.asarray(df), np.asarray(d2f))
 
@@ -298,10 +298,10 @@ def _q_from_jet(fh, arr, f, df):
     _refuse((np.abs(f) < ZERO_TOL) & ~small, arr, FunctionZeroError,
             "f has a zero inside the disk at z = {}; "
             "z f'/f is singular there and f cannot be starlike")
+    if not np.count_nonzero(small):
+        return arr * df / f
     q = arr * df / np.where(small, 1.0, f)
-    if np.any(small):
-        q = np.where(small, 1.0 + _a2(fh) * arr, q)
-    return q
+    return np.where(small, 1.0 + _a2(fh) * arr, q)
 
 
 def starlike_q(fh: FunctionHandle, z):
@@ -313,7 +313,7 @@ def starlike_q(fh: FunctionHandle, z):
     arr = np.asarray(z, dtype=complex)
     jet = eval_jet(fh, arr)
     q = _q_from_jet(fh, arr, jet.f, jet.df)
-    return complex(q) if np.ndim(z) == 0 else q
+    return complex(q) if arr.ndim == 0 else q
 
 
 def convexity_p(fh: FunctionHandle, z):
@@ -321,17 +321,17 @@ def convexity_p(fh: FunctionHandle, z):
     arr = np.asarray(z, dtype=complex)
     jet = eval_jet(fh, arr)
     p = _p_from_jet(arr, jet.df, jet.d2f)
-    return complex(p) if np.ndim(z) == 0 else p
+    return complex(p) if arr.ndim == 0 else p
 
 
-def _mobius(beta, num, den, pole_message, like):
+def _mobius(beta, num, den, pole_message):
     """num / den, the value of a Mobius map, with its pole check: a point
     where |den| < POLE_TOL raises PoleError(pole_message.format(b)), b the
     beta of the first such point (beta broadcasts against den).  A complex
-    scalar when like is a scalar."""
+    scalar when num / den is 0-d, so when beta and the point both are."""
     _refuse(np.abs(den) < POLE_TOL, beta, PoleError, pole_message, _beta_text)
     out = num / den
-    return complex(out) if np.ndim(like) == 0 else out
+    return complex(out) if out.ndim == 0 else out
 
 
 def mobius_target(beta: float, z):
@@ -340,7 +340,7 @@ def mobius_target(beta: float, z):
         raise ParameterDomainError("the target map needs beta != 0")
     arr = np.asarray(z, dtype=complex)
     return _mobius(beta, beta * (1.0 - arr), beta - arr,
-                   "z = beta = {} is the pole of the target map", z)
+                   "z = beta = {} is the pole of the target map")
 
 
 def mobius_invert_t1(beta, q):
@@ -351,7 +351,7 @@ def mobius_invert_t1(beta, q):
     """
     arr = np.asarray(q, dtype=complex)
     return _mobius(beta, beta * (arr - 1.0), arr - beta,
-                   "q = beta = {} is the pole of the inverse map", q)
+                   "q = beta = {} is the pole of the inverse map")
 
 
 def mobius_invert_t2(beta, q):
@@ -362,7 +362,7 @@ def mobius_invert_t2(beta, q):
     """
     arr = np.asarray(q, dtype=complex)
     return _mobius(beta, beta * (1.0 - arr), 1.0 - beta * arr,
-                   "beta * q = 1 (beta = {}) is the pole of the inverse map", q)
+                   "beta * q = 1 (beta = {}) is the pole of the inverse map")
 
 
 def target_disk(beta: float) -> DiskSpec:
@@ -401,6 +401,6 @@ def alexander_jet(fh: FunctionHandle, z) -> Jet2:
     zsafe = np.where(small, 1.0, arr)
     dg = np.where(small, 1.0 + a2 * arr, jet.f / zsafe)
     d2g = np.where(small, a2, (arr * jet.df - jet.f) / zsafe**2)
-    if np.ndim(z) == 0:
+    if arr.ndim == 0:
         return Jet2(complex(g), complex(dg), complex(d2g))
     return Jet2(np.asarray(g), np.asarray(dg), np.asarray(d2g))

@@ -1,5 +1,7 @@
+import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +179,14 @@ def test_mobius_maps_return_scalars_for_scalars():
                   sd.mobius_invert_t2(2.0, 0.3)):
         assert type(value) is complex
     assert sd.mobius_invert_t1(2.0, np.array([0.3])).shape == (1,)
+
+
+def test_an_inverse_map_with_an_array_beta_and_a_scalar_q_gives_each_betas_value():
+    # q = 0.3 keeps clear of theorem 2's pole at beta q = 1
+    for invert, q in ((sd.mobius_invert_t1, 0.5), (sd.mobius_invert_t2, 0.3)):
+        w = invert(np.array([2.0, 2.5]), q)
+        assert w.shape == (2,)
+        assert np.array_equal(w, [invert(2.0, q), invert(2.5, q)])
 
 
 def test_mobius_roundtrip():
@@ -407,6 +417,27 @@ def test_a_point_alone_gives_the_bits_it_gives_inside_an_array():
     for name, fn in maps.items():
         alone, inside = _alone_and_inside(fn, z)
         assert np.array_equal(alone, inside), name
+
+
+def test_a_one_point_call_enters_no_numpy_python_wrapper():
+    # np.any, np.all, np.ndim and the rest of numpy._core.fromnumeric are
+    # Python functions, each costing more than the arithmetic of one point
+    fh = sd.make_family(sd.FamilySpec("ex1_high", 2.5))
+    w = sd.induced(1, fh, 2.5)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "numpy._core.fromnumeric":
+            entered.append(frame.f_code.co_name)
+
+    z = 0.7 * cmath.exp(0.3j)
+    sys.setprofile(profile)
+    try:
+        values = sd.starlike_q(fh, z), sd.convexity_p(fh, z), w(z)
+    finally:
+        sys.setprofile(None)
+    assert [type(v) for v in values] == [complex] * 3
+    assert entered == []
 
 
 def test_grid_validation():
