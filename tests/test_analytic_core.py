@@ -380,20 +380,10 @@ def test_a_series_with_a_complex_coefficient_is_not_real():
 # ------------------------------------------- one point alone and in an array
 
 
-def _bits(values):
-    # the bit pattern of each complex value, so that the sign of a zero counts
-    return np.asarray(values, dtype=complex).view(np.uint64)
-
-
-def _alone_and_inside(fn, z):
-    # fn at each point of z alone, and fn at all of them as one array
-    return _bits([fn(complex(x)) for x in z]), _bits(fn(z))
-
-
 def test_a_point_alone_gives_the_bits_it_gives_inside_an_array():
     # the log-limit, Koebe and half-plane kinds are left out: at AVX2 and
-    # above their lone points take numpy's scalar arithmetic, whose complex
-    # products differ in the last bits from the SIMD loops (ROADMAP item 7)
+    # above their lone points differ from the array's in the last bits,
+    # likely as numpy's scalar arithmetic skips its SIMD loops (ROADMAP item 7)
     small = analytic_core.SMALL_Z
     z = np.concatenate([sample_points(300, rmax=0.99, seed=29),
                         [0j, small, -0.5j * small, small * (0.6 - 0.8j), 1e-9 + 0j]])
@@ -415,8 +405,9 @@ def test_a_point_alone_gives_the_bits_it_gives_inside_an_array():
     for w in (sd.induced(1, families[0], 2.5), sd.induced(2, families[2], 3.0)):
         maps[w.label] = w
     for name, fn in maps.items():
-        alone, inside = _alone_and_inside(fn, z)
-        assert np.array_equal(alone, inside), name
+        alone = np.array([fn(complex(x)) for x in z])
+        # compared as bit patterns, so that the sign of a zero counts
+        assert np.array_equal(alone.view(np.uint64), np.asarray(fn(z)).view(np.uint64)), name
 
 
 def test_a_one_point_call_enters_no_numpy_python_wrapper():
@@ -431,11 +422,12 @@ def test_a_one_point_call_enters_no_numpy_python_wrapper():
             entered.append(frame.f_code.co_name)
 
     z = 0.7 * cmath.exp(0.3j)
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         values = sd.starlike_q(fh, z), sd.convexity_p(fh, z), w(z)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     assert [type(v) for v in values] == [complex] * 3
     assert entered == []
 
