@@ -18,6 +18,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -260,19 +261,23 @@ def eval_jet(fh: FunctionHandle, z) -> Jet2:
     return Jet2(np.asarray(f), np.asarray(df), np.asarray(d2f))
 
 
-def _routes(handles, z):
-    """Each handle's scan route on the points z of one circle, and the
-    Log(1 - z) that the None routes share (None when there is none): a
-    power handle's route is None, its power form over that Log, which has
-    no small-z patch, when every |z| > SMALL_Z; any other handle is its own."""
+def _blocks(handles, z, size):
+    """A sweep's blocks on the points z of one circle, as (lo, hi, lg): the
+    handles[lo:hi], at most size, share one jet.  Power handles share the
+    power form over lg = Log(1 - z), which has no small-z patch, when every
+    |z| > SMALL_Z; any other handle shares only with its copies (lg None)."""
     # |r e^{i theta}| can round below r, so the test is on the points
     clear = np.abs(z).min() > SMALL_Z
-    routes = [None if clear and fh.kind == "power" else fh for fh in handles]
-    return routes, (log_one_minus(z) if None in routes else None)
+    keys = [None if clear and fh.kind == "power" else fh for fh in handles]
+    lg, hi = (log_one_minus(z) if None in keys else None), 0
+    for key, run in groupby(keys):
+        lo, hi = hi, hi + len(list(run))
+        for i in range(lo, hi, size):
+            yield i, min(i + size, hi), lg if key is None else None
 
 
 def _block_jet(handles, z, lg):
-    """The jet (f, f', f'') on z of a block of one route, as rows, and
+    """The jet (f, f', f'') on z of one block of _blocks, as rows, and
     jet(rows, x), that of those rows at points x: the power form over lg =
     Log(1 - z), a row per handle, or with lg None one row of handles[0]'s
     eval_jet, looked up at call time, where a span tracer may replace it."""

@@ -188,7 +188,7 @@ def _conclusion_json(con):
 
 
 def _conclusion_ok(con) -> bool:
-    ok = abs(con.w_origin) <= 1e-10
+    ok = con.w_origin == 0
     for row in con.per_radius:
         ok = ok and row.max_abs_w < 1.0
         ok = ok and row.schwarz_ratio <= 1.0 + _SCHWARZ_TOL
@@ -323,8 +323,8 @@ def _add_grid_args(sp, radii_note="") -> None:
         "--radii",
         type=_radii_arg,
         default=DEFAULT_RADII,
-        help="comma-separated radii in (0,1), strictly increasing (default 0.5,0.9,0.99)"
-        + radii_note,
+        help="comma-separated radii in (0,1), strictly increasing "
+        f"(default {','.join(map(str, DEFAULT_RADII))})" + radii_note,
     )
     sp.add_argument(
         "--angles",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -227,8 +226,8 @@ def _zero_count(v, value_at, r, n, what):
 
 
 def _scan(theorem, handles, betas, z, lg, certify=None):
-    """The _reduce results of a block of one route on one circle z, the
-    handles at their betas, from analytic_core._block_jet over lg.  The
+    """The _reduce results of one block (analytic_core._blocks) on one circle
+    z, the handles at their betas, from analytic_core._block_jet over lg.  The
     guard of p runs first, so a circle holding zeros of both f' and f
     raises CriticalPointError, and each jet array is dropped once used.
 
@@ -368,11 +367,11 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     per-beta run_t1/run_t2 calls on SamplingGrid((r_max,), grid.angular_count).
 
     The theorem, the list lengths and every bound are checked before any
-    work.  The betas are scanned in blocks, all on one thread: runs of
-    consecutive betas with one route (analytic_core._routes), cut every
-    max(SWEEP_BLOCK_POINTS // angular_count, 1) betas; a block is one jet
-    (analytic_core._block_jet) and one (betas x angles) array pass.  A
-    block that raises any StardiskError is replayed beta by beta, so the
+    work.  The betas are scanned on one thread in the blocks of
+    analytic_core._blocks: runs of consecutive betas whose handles share one
+    jet, cut every max(SWEEP_BLOCK_POINTS // angular_count, 1) betas.  A block
+    is one jet (analytic_core._block_jet) and one (betas x angles) array pass.
+    A block that raises any StardiskError is replayed beta by beta, so the
     error raised is that of the first beta that fails alone.  Nothing is
     returned before every beta is done.
     """
@@ -384,19 +383,12 @@ def sweep(handles, betas, grid: SamplingGrid, theorem: int):
     bounds = [(t1_bound if theorem == 1 else t2_bound)(b) for b in betas]
     r, n = grid.radii[-1], grid.angular_count
     z = r * _unit(handles, grid)
-    routes, lg = analytic_core._routes(handles, z)
-    size = max(SWEEP_BLOCK_POINTS // n, 1)
-    blocks, lo = [], 0
-    for route, run in groupby(routes):
-        end = lo + len(list(run))
-        blocks += ((i, min(i + size, end), route) for i in range(lo, end, size))
-        lo = end
     invert = mobius_invert_t1 if theorem == 1 else mobius_invert_t2
     out = []
-    for lo, hi, route in blocks:
+    for lo, hi, lg in analytic_core._blocks(handles, z, max(SWEEP_BLOCK_POINTS // n, 1)):
         hs, bs = handles[lo:hi], betas[lo:hi]
         try:
-            reduced = _scan(theorem, hs, bs, z, lg if route is None else None, (r, n))
+            reduced = _scan(theorem, hs, bs, z, lg, (r, n))
             w0 = invert(np.asarray(bs), np.ones(len(bs), dtype=complex))
         except StardiskError:
             # the first beta that fails alone raises its own error, else the

@@ -312,7 +312,7 @@ def test_conjugate_symmetry_of_family_handles():
             assert abs(np.conj(a.df) - b.df) <= 1e-13
 
 
-# ------------------------------------------------- scan routes and block jets
+# ------------------------------------------------------ sweep blocks and jets
 
 
 def _half_circle(r, n=256):
@@ -320,28 +320,28 @@ def _half_circle(r, n=256):
     return r * np.exp(1j * (2.0 * np.pi * np.arange(n // 2 + 1) / n))
 
 
-def test_power_handles_share_one_log_and_any_other_is_its_own_route():
+def test_power_handles_share_one_log_and_any_other_is_a_block_of_its_own():
     log_point = sd.make_family(sd.FamilySpec("ex2_pos", 1.0 + math.sqrt(2.0)))
     a, b = (sd.make_family(sd.FamilySpec("ex2_pos", beta)) for beta in (3.0, 4.0))
     assert [fh.kind for fh in (a, log_point, b)] == ["power", "log", "power"]
     z = _half_circle(0.9)
-    routes, lg = analytic_core._routes([a, log_point, b], z)
-    assert routes == [None, log_point, None]
-    assert np.array_equal(lg, analytic_core.log_one_minus(z))
+    [(lo0, hi0, lg), mid, (lo2, hi2, lg2)] = analytic_core._blocks([a, log_point, b], z, 8)
+    assert [(lo0, hi0), mid, (lo2, hi2)] == [(0, 1), (1, 2, None), (2, 3)]
+    assert lg2 is lg and np.array_equal(lg, analytic_core.log_one_minus(z))
 
 
 def test_a_circle_with_a_point_at_small_z_shares_no_log():
-    # Log(1 - z) has no small-z patch, so each power handle is its own route
-    fh = sd.make_family(sd.FamilySpec("ex1_high", 2.5))
+    # Log(1 - z) has no small-z patch, so each power handle is a block of its own
+    fh, other = (sd.make_family(sd.FamilySpec("ex1_high", beta)) for beta in (2.5, 2.6))
     z = _half_circle(ROUNDS_TO_SMALL_Z)
     assert np.abs(z).min() <= analytic_core.SMALL_Z < ROUNDS_TO_SMALL_Z
-    assert analytic_core._routes([fh, fh], z) == ([fh, fh], None)
+    assert list(analytic_core._blocks([fh, other], z, 8)) == [(0, 1, None), (1, 2, None)]
 
 
-def test_a_repeated_builtin_shares_no_log_and_takes_one_row_of_its_jet():
+def test_a_repeated_builtin_is_one_block_and_takes_one_row_of_its_jet():
     fh = sd.quadratic()
     z = _half_circle(0.9)
-    assert analytic_core._routes([fh] * 3, z) == ([fh] * 3, None)
+    assert list(analytic_core._blocks([fh] * 3, z, 8)) == [(0, 3, None)]
     rows, jet = analytic_core._block_jet([fh] * 3, z, None)
     x = 0.5 * z[:7]
     for got, own, at_x, own_x in zip(rows, sd.eval_jet(fh, z), jet(np.arange(7) % 3, x),
@@ -351,14 +351,25 @@ def test_a_repeated_builtin_shares_no_log_and_takes_one_row_of_its_jet():
         assert np.array_equal(at_x, own_x)
 
 
-def test_the_power_route_rows_are_each_handles_own_jet_bit_for_bit():
+@pytest.mark.parametrize("power", [True, False])
+def test_a_run_longer_than_size_is_cut_into_size_long_blocks(power):
+    betas = [2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7]
+    handles = ([sd.make_family(sd.FamilySpec("ex1_high", b)) for b in betas] if power
+               else [sd.quadratic()] * len(betas))
+    z = _half_circle(0.9)
+    blocks = list(analytic_core._blocks(handles, z, 3))
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 3), (3, 6), (6, 7)]
+    assert all((lg is not None) == power for _, _, lg in blocks)
+
+
+def test_the_power_block_rows_are_each_handles_own_jet_bit_for_bit():
     handles = [sd.make_family(sd.FamilySpec(family, beta))
                for family, beta in (("ex1_high", 2.5), ("ex1_low", 1.5), ("ex2_pos", 3.0),
                                     ("ex2_neg", -2.0))]
     for r in (0.5, 0.99, 0.999999):
         z = _half_circle(r, 4096)
-        routes, lg = analytic_core._routes(handles, z)
-        assert routes == [None] * len(handles)
+        [(lo, hi, lg)] = analytic_core._blocks(handles, z, len(handles))
+        assert (lo, hi) == (0, len(handles))
         rows, jet = analytic_core._block_jet(handles, z, lg)
         x = 0.5 * z[::97]  # points off the circle, as a zero count refines at
         for i, fh in enumerate(handles):

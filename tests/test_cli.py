@@ -198,6 +198,13 @@ def test_verify_json_schema(tmp_path):
     assert con["w_origin_abs"] <= 1e-10
 
 
+def test_the_verdict_takes_w_at_the_origin_exactly():
+    hyp, con = sd.run_t1(sd.quadratic(), 2.0, sd.SamplingGrid((0.5,), 64))
+    assert con.w_origin == 0 and cli._conclusion_ok(con)
+    # no allowance: w(0) at the least subnormal fails the conclusion
+    assert not cli._conclusion_ok(dataclasses.replace(con, w_origin=5e-324j))
+
+
 def test_verify_timing_records_only_the_duration(tmp_path):
     argv = ["verify", "--theorem", "1", "--family", "ex1_high", "--beta", "2.5"] + FAST
     reports = []

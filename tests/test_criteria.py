@@ -11,6 +11,7 @@ from stardisk.errors import (
     FunctionZeroError,
     ParameterDomainError,
     PoleError,
+    StardiskError,
 )
 
 from conftest import ROUNDS_TO_SMALL_Z, circ_dist, handle_zoo
@@ -234,6 +235,27 @@ def test_a_verify_scan_takes_chunks_of_the_half_circle(monkeypatch):
     monkeypatch.setattr(analytic_core, "eval_jet", spy)
     sd.run_t1(fh, 2.5, sd.SamplingGrid((0.5, 0.9, 0.99), 2**16), 2)
     assert sizes == [10923] * 9
+
+
+def test_a_slice_error_no_whole_circle_repeats_is_raised(monkeypatch):
+    # a failed slice has every circle rescanned whole, to raise the first
+    # circle's own error; where each circle passes whole, the slice's error
+    # is raised all the same, and no report is returned
+    grid = sd.SamplingGrid((0.5, 0.9), 64)  # 33 angles, theta in [0, pi]
+    sizes = []
+    real = criteria._scan
+
+    def scan(theorem, handles, betas, z, *args):
+        sizes.append(z.size)
+        if z.size < 33:
+            raise CriticalPointError("a slice")
+        return real(theorem, handles, betas, z, *args)
+
+    monkeypatch.setattr(criteria, "SCAN_CHUNK_POINTS", 8)
+    monkeypatch.setattr(criteria, "_scan", scan)
+    with pytest.raises(CriticalPointError, match="^a slice$"):
+        sd.run_t1(sd.make_family(sd.FamilySpec("ex1_high", 2.5)), 2.5, grid)
+    assert sizes == [7, 33, 33]
 
 
 def test_verify_peak_memory_does_not_grow_with_the_angles():
@@ -564,6 +586,27 @@ def test_sweep_equals_the_per_beta_runs(small_grid, case, threads):
     assert got == _per_beta(handles, betas, small_grid, theorem, threads)
 
 
+@pytest.mark.parametrize("theorem, betas", [
+    (1, [1.01, 1.2, 1.5, 1.8, 2.0, 2.2, 2.5, 2.8, 2.95, 2.999]),
+    (2, [-1e6, -10.0, -3.0, -1.5, -1.0, 1.001, 1.5, 3.0, 10.0, 1e6]),
+])
+def test_w_at_the_origin_is_exactly_zero(theorem, betas):
+    # w(0) = beta (1 - 1) / den is +-0 wherever a run or a sweep returns (a
+    # pole raises), so verify's verdict compares it with 0, with no allowance
+    run = sd.run_t1 if theorem == 1 else sd.run_t2
+    grid = sd.SamplingGrid((0.5, 0.9), 64)
+    origins = []
+    for fh in handle_zoo():
+        calls = [lambda b=b: [run(fh, b, grid)] for b in betas]
+        for call in calls + [lambda: sd.sweep([fh] * len(betas), betas, grid, theorem)]:
+            try:
+                origins += [con.w_origin for _, con in call()]
+            except StardiskError:
+                pass
+    assert len(origins) >= 100  # 118 (theorem 1) and 117 of 220 returned
+    assert all(w == 0 for w in origins)
+
+
 def test_sweep_builds_no_thread_pool(monkeypatch, small_grid):
     built = []
 
@@ -643,8 +686,8 @@ def test_a_repeated_handle_takes_one_jet_a_block(monkeypatch):
 
 
 def test_sweep_splits_blocks_at_other_kinds(monkeypatch, small_grid):
-    # a block is a run of one route: the log point cuts the power betas
-    # around it, and is a block of its own
+    # a block is a run of handles with one jet: the log point cuts the power
+    # betas around it, and is a block of its own
     betas = [2.3, 2.35, LOG_POINT, 2.5, 2.6]
     handles = _handles("ex2_pos", betas)
     assert [fh.kind for fh in handles] == ["power", "power", "log", "power", "power"]

@@ -15,6 +15,11 @@ disk inside its largest circle: its stderr names the count of the pole.
 verify_t2_ex2_pos_log_limit was regenerated when labels began to name beta
 in its shortest round-trip digits: its stderr reads beta=2.414213562373095.
 
+At the X86_V2 dispatch level (every SIMD feature above numpy's X86_V2
+baseline disabled, or absent), four reports differ in last bits
+(ROADMAP item 7): those of X86_V2_DIFFER are strict xfails there, and
+there alone.
+
 Regenerate (only when a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -29,6 +34,8 @@ from pathlib import Path
 import pytest
 
 from stardisk import cli
+
+from dispatch_features import at_x86_v2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,7 +157,14 @@ def transcript(argv, workdir: Path) -> str:
             f"--- stderr\n{stderr.getvalue()}--- report\n{report}")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+X86_V2_DIFFER = {"jack_blaschke", "jack_monomial", "sweep_t1_builtin_quadratic",
+                 "verify_t1_quadratic"}
+_XFAIL = X86_V2_DIFFER if at_x86_v2() else set()
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7"))
+    if name in _XFAIL else name for name in sorted(CASES)])
 def test_golden_output(name, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode()
